@@ -2,8 +2,8 @@
 families, with an independent finite-difference verifier.
 
 Three routes to every level: a closed-form expression, a root of the
-series-termination residual, and a Sturm-bisection eigenvalue of the
-discretized problem.  The package treats agreement of all three as the
+series-termination residual, and a Sturm-count-certified eigenvalue of
+the discretized problem.  The package treats agreement of all three as the
 definition of correct.
 """
 

@@ -3,14 +3,16 @@
 Discretizes -(hbar^2/2m) u'' + V_eff u = E u on a uniform grid with
 Dirichlet ends (radial problems are reduced with u = r R, so their
 eigenvalues compare directly to the analytic spectrum).  Eigenvalues come
-from Sturm-sequence counting plus bisection, with no external solver
-dependencies, so this path shares nothing with the algebraic route it
-checks.
+from Sturm-sequence counts: shared brackets, Laguerre steps on the pivot
+recursion once a level is isolated, and a final bracket certified by counts.
+There are no external solver dependencies, so this path shares nothing with
+the algebraic route it checks.
 
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
 movement between the two resolutions doubles as the grid-adequacy check:
-when it exceeds 1e-4 the grid is declared too coarse.
+when it exceeds 1e-4 the grid is declared too coarse.  The h/2 solve starts
+from the h eigenvalues, which its own Sturm counts confirm or overrule.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .quadrature import RadialGrid, simpson_integrate
 RICHARDSON_TOL = 1e-4
 #: Sturm pivots are floored at this magnitude to avoid division blowup
 PIVOT_FLOOR = 1e-300
-#: bisection target width (absolute, with a float-spacing guard)
+#: width of the count-certified bracket each eigenvalue is refined to
+#: (absolute, with a float-spacing guard)
 BISECT_TOL = 1e-12
 
 
@@ -44,6 +47,8 @@ class OracleSpectrum:
     asymptote: float
     richardson_shift: float
     grid_adequate: bool
+    #: Sturm sweeps spent on the h and the h/2 matrix
+    sturm_sweeps: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -79,49 +84,188 @@ def sturm_count(diag, offdiag, lam: float) -> int:
 
 
 def _sturm(diag: list, off2: list, lam: float) -> int:
+    """One count-only sweep of the pivot recursion d_i = (a_i - lam) -
+    off2_{i-1} / d_{i-1}: the number of negative pivots."""
+    floor = PIVOT_FLOOR
+    rows = iter(diag)
+    d = next(rows) - lam
     count = 0
-    d = 1.0
-    for i, a in enumerate(diag):
-        d = (a - lam) - (off2[i - 1] / d if i else 0.0)
-        if abs(d) < PIVOT_FLOOR:
-            d = -PIVOT_FLOOR if d < 0 else PIVOT_FLOOR
+    if d < 0:
+        count = 1
+        if d > -floor:
+            d = -floor
+    elif d < floor:
+        d = floor
+    for a, b2 in zip(rows, off2):
+        d = (a - lam) - b2 / d
         if d < 0:
             count += 1
+            if d > -floor:
+                d = -floor
+        elif d < floor:
+            d = floor
     return count
 
 
+def _laguerre_sweep(diag: list, off2: list, lam: float):
+    """The count of :func:`_sturm` plus g = sum 1/(lam - e_j) and h = sum
+    1/(lam - e_j)^2 over all eigenvalues e_j, in the same sweep.
+
+    g and -h are the first two lam-derivatives of log|det(T - lam)| =
+    sum log|d_i|, carried along the pivot recursion as u_i = d_i'/d_i and
+    w_i = d_i''/d_i.  A floored pivot makes them non-finite, which the
+    caller treats as a refused step.
+    """
+    floor = PIVOT_FLOOR
+    rows = iter(diag)
+    d = next(rows) - lam
+    count = 0
+    if d < 0:
+        count = 1
+        if d > -floor:
+            d = -floor
+    elif d < floor:
+        d = floor
+    u = -1.0 / d
+    w = 0.0
+    g = u
+    h = u * u
+    for a, b2 in zip(rows, off2):
+        q = b2 / d
+        w = q * (w - 2.0 * u * u)
+        d = (a - lam) - q
+        if d < 0:
+            count += 1
+            if d > -floor:
+                d = -floor
+        elif d < floor:
+            d = floor
+        u = (q * u - 1.0) / d
+        w = w / d
+        g += u
+        h += u * u - w
+    return count, g, h
+
+
+def _laguerre_step(g: float, h: float, n: int, side: int) -> float:
+    """Distance from lam to the Laguerre point on ``side`` (+1 above, -1
+    below) for a degree-n polynomial with only real roots.
+
+    The point never passes the nearest root on that side, so a step from a
+    point with exactly k eigenvalues below it toward level k cannot
+    overshoot it.  Returns inf when the derivatives admit no such step.
+    """
+    disc = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
+    toward = side * g
+    if toward <= 0:
+        denom = disc - toward
+        return n / denom if denom > 0 else math.inf
+    # the same quotient, rationalized to avoid cancelling disc - toward
+    denom = (n - 1) * h - g * g
+    return (disc + toward) / denom if denom > 0 else math.inf
+
+
+def _width_tol(*ends: float) -> float:
+    return max(BISECT_TOL, 4 * math.ulp(max(abs(v) for v in ends)))
+
+
 def lowest_eigenvalues(diag, offdiag, count: int) -> list[float]:
-    """Lowest eigenvalues of a symmetric tridiagonal matrix, by bisection on
-    the Sturm count.  Matrix-level entry point; the grid solvers build on it."""
+    """Lowest eigenvalues of a symmetric tridiagonal matrix, each certified
+    by Sturm counts to a bracket no wider than max(BISECT_TOL, 4 ulp).
+    Matrix-level entry point; the grid solvers build on it."""
     diag = [float(v) for v in diag]
     off2 = [float(v) * float(v) for v in offdiag]
     if len(off2) != len(diag) - 1:
         raise InvalidParameters("offdiag must be one element shorter than diag")
-    return _lowest_eigenvalues(diag, off2, count)
+    return _lowest_eigenvalues(diag, off2, count)[0]
 
 
-def _lowest_eigenvalues(diag: list, off2: list, count: int) -> list[float]:
-    """The lowest `count` eigenvalues by bisection on the Sturm count."""
+def _lowest_eigenvalues(diag: list, off2: list, count: int,
+                        seeds=()) -> tuple[list[float], int]:
+    """The lowest `count` eigenvalues and the number of Sturm sweeps spent.
+
+    Each value is the midpoint of a bracket [lo, hi] no wider than
+    max(BISECT_TOL, 4 ulp) whose ends carry Sturm counts: at most k
+    eigenvalues below lo and at least k + 1 below hi, for level k.  Every
+    count tightens the brackets of all levels, so a level starts from what
+    the sweeps of earlier levels certified.  A level's bracket is bisected
+    until it holds exactly one eigenvalue; from there (or from a seed with
+    k or k + 1 eigenvalues below it) Laguerre steps, safeguarded by the
+    bracket, replace bisection.  Once a step falls below what the sweep can
+    resolve, count-only probes around the estimate, widened after each miss,
+    certify the final bracket.
+
+    ``seeds`` holds optional starting points, one per level.  A seed is used
+    only when it lies inside its level's bracket, and its sweep's count
+    decides what it is worth: a wrong seed costs sweeps, never accuracy.
+    """
     n = len(diag)
     count = min(count, n)
     radius = math.sqrt(max(off2)) if off2 else 0.0
-    lo0 = min(diag) - 2 * radius
-    hi0 = max(diag) + 2 * radius
+    bottom = min(diag) - 2 * radius  # Gershgorin bounds
+    top = max(diag) + 2 * radius
+    lo, hi = [bottom] * count, [top] * count
+    clo = [0] * count  # eigenvalues below lo[k]
+    chi = [n] * count  # eigenvalues below hi[k]
+    # a sweep resolves eigenvalues to a few ulp of the matrix norm only
+    resolution = _width_tol(bottom, top)
+    sweeps = 0
     out: list[float] = []
     for k in range(count):
-        lo = out[-1] if out else lo0  # eigenvalues are ordered
-        hi = hi0
+        seed = seeds[k] if k < len(seeds) else None
+        if seed is not None and lo[k] < seed < hi[k]:
+            x, kind = seed, "laguerre"
+        else:
+            x, kind = 0.5 * (lo[k] + hi[k]), "bisect"
+        est = spread = 0.0
+        # the last two step lengths: a Laguerre step must be shorter than
+        # half the one before last, or bisection takes over
+        steps = [hi[k] - lo[k]] * 2
+        last_side = 0
         for _ in range(300):
-            width_tol = max(BISECT_TOL, 4 * math.ulp(max(abs(lo), abs(hi))))
-            if hi - lo <= width_tol:
+            if hi[k] - lo[k] <= _width_tol(lo[k], hi[k]):
                 break
-            mid = 0.5 * (lo + hi)
-            if _sturm(diag, off2, mid) >= k + 1:
-                hi = mid
+            if kind == "laguerre":
+                c, g, h = _laguerre_sweep(diag, off2, x)
             else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return out
+                c = _sturm(diag, off2, x)
+            sweeps += 1
+            for j in range(min(c, count)):
+                if x < hi[j]:
+                    hi[j], chi[j] = x, c
+            for j in range(c, count):
+                if x > lo[j]:
+                    lo[j], clo[j] = x, c
+            if kind == "probe":
+                if (x < est) == (c > k):  # the level lies beyond this probe
+                    est, spread = x, 2 * spread
+            elif kind == "laguerre" and c in (k, k + 1):
+                side = 1 if c == k else -1
+                dist = _laguerre_step(g, h, n, side)
+                z = x + side * dist
+                if math.isfinite(dist) and (side == -last_side or dist < resolution):
+                    # a step across the level, or one the sweep cannot
+                    # resolve: z is as good as the derivatives get
+                    kind = "probe"
+                    est = min(max(z, lo[k]), hi[k])
+                    spread = max(0.5 * _width_tol(est), dist)
+                elif lo[k] < z < hi[k] and dist < 0.5 * steps[0]:
+                    steps = [steps[1], dist]
+                    x, last_side = z, side
+                    continue
+            if kind == "probe" and lo[k] < est - spread:
+                x = est - spread
+            elif kind == "probe" and est + spread < hi[k]:
+                x = est + spread
+            else:
+                x = 0.5 * (lo[k] + hi[k])
+                steps = [steps[1], 0.5 * (hi[k] - lo[k])]
+                last_side = 0
+                if kind != "probe":
+                    isolated = clo[k] == k and chi[k] == k + 1
+                    kind = "laguerre" if isolated else "bisect"
+        out.append(0.5 * (lo[k] + hi[k]))
+    return out, sweeps
 
 
 def _operator(v_eff, grid: RadialGrid, units: pot.UnitsConfig):
@@ -130,6 +274,16 @@ def _operator(v_eff, grid: RadialGrid, units: pot.UnitsConfig):
     t = units.hbar**2 / (2 * units.mass * h * h)
     diag = (2.0 * t + np.asarray(v_eff(x[1:-1]), dtype=float)).tolist()
     return x, t, diag
+
+
+class _FDResult(tuple):
+    """The ``(values, shift)`` pair of :func:`fd_eigenvalues_from_callable`,
+    also carrying ``sturm_sweeps``: the sweeps spent at h and at h/2."""
+
+    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int]):
+        result = super().__new__(cls, (values, shift))
+        result.sturm_sweeps = sturm_sweeps
+        return result
 
 
 def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
@@ -141,23 +295,29 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     With ``refine`` the values are Richardson-extrapolated from the (h,
     h/2) resolution pair; returns ``(values, shift)`` where shift is the
     largest relative movement between the two resolutions.  With ``refine``
-    false the plain single-grid values are returned with shift 0.
+    false the plain single-grid values are returned with shift 0.  The
+    pair's ``sturm_sweeps`` attribute holds the Sturm sweeps spent at h and
+    at h/2 (0 without ``refine``).
+
+    The h/2 solve is seeded with the h eigenvalues: they sit within the
+    Richardson movement of their h/2 counterparts, and the h/2 Sturm counts
+    confirm or overrule each seed.
     """
     _, t, diag = _operator(v_eff, grid, units)
     off2 = [t * t] * (len(diag) - 1)
-    base = _lowest_eigenvalues(diag, off2, count)
+    base, sweeps = _lowest_eigenvalues(diag, off2, count)
     if not refine:
-        return np.asarray(base), 0.0
+        return _FDResult(np.asarray(base), 0.0, (sweeps, 0))
     fine_grid = RadialGrid(grid.x_min, grid.x_max, 2 * (grid.n_points - 1) + 1)
     _, t2, diag2 = _operator(v_eff, fine_grid, units)
     off2_2 = [t2 * t2] * (len(diag2) - 1)
-    fine = _lowest_eigenvalues(diag2, off2_2, count)
+    fine, fine_sweeps = _lowest_eigenvalues(diag2, off2_2, count, seeds=base)
     base = np.asarray(base)
     fine = np.asarray(fine)
     rich = (4.0 * fine - base) / 3.0
     scale = np.maximum(np.abs(rich), 1e-30)
     shift = float(np.max(np.abs(fine - base) / scale))
-    return rich, shift
+    return _FDResult(rich, shift, (sweeps, fine_sweeps))
 
 
 def _effective_grid(spec, grid: RadialGrid) -> RadialGrid:
@@ -186,7 +346,8 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     def v_eff(x):
         return pot.effective_potential(spec, l, units, x)
 
-    values, shift = fd_eigenvalues_from_callable(v_eff, grid, units, count)
+    solved = fd_eigenvalues_from_callable(v_eff, grid, units, count)
+    values, shift = solved
     adequate = shift <= RICHARDSON_TOL
     if strict_grid and not adequate:
         raise GridTooCoarse(
@@ -197,7 +358,7 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
                           boundary=("dirichlet", "dirichlet"),
                           effective_potential_includes_centrifugal=spec.radial,
                           asymptote=asym, richardson_shift=shift,
-                          grid_adequate=adequate)
+                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps)
 
 
 def _tridiag_solve(sub, diag, sup, rhs):
@@ -249,7 +410,7 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
 
     x, t, diag = _operator(v_eff, grid, units)
     off2 = [t * t] * (len(diag) - 1)
-    lam = _lowest_eigenvalues(diag, off2, index + 1)[index]
+    lam = _lowest_eigenvalues(diag, off2, index + 1)[0][index]
 
     n = len(diag)
     sub = np.full(n - 1, -t)

@@ -61,6 +61,15 @@ EDGE_TOL_FRACTION = 1e-8
 WALL_FRACTION = 1e4
 
 
+def _require_finite(spec) -> None:
+    """Reject NaN and infinite parameters by name; the range checks after
+    this one would let NaN through (every comparison with NaN is false)."""
+    for name, value in potential_params(spec).items():
+        if not math.isfinite(value):
+            raise InvalidParameters(
+                f"{spec.family} parameter {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UnitsConfig:
     """hbar and particle mass; atomic-like units by default."""
@@ -69,6 +78,10 @@ class UnitsConfig:
     mass: float = 1.0
 
     def __post_init__(self):
+        for name in ("hbar", "mass"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameters(f"{name} must be finite, got {value!r}")
         if self.hbar <= 0 or self.mass <= 0:
             raise InvalidParameters("hbar and mass must be strictly positive")
 
@@ -111,6 +124,7 @@ class GeneralizedMorse:
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy", "a": "1/length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V1 <= 0 or self.V2 <= 0:
             raise InvalidParameters("Morse needs V1 > 0 and V2 > 0 for a bound pocket")
         if self.a <= 0:
@@ -183,6 +197,7 @@ class Mie:
     param_units: ClassVar[dict] = {"V0": "energy", "a": "length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V0 <= 0 or self.a <= 0:
             raise InvalidParameters("Mie needs V0 > 0 and a > 0")
 
@@ -241,6 +256,7 @@ class KratzerFues:
     param_units: ClassVar[dict] = {"De": "energy", "re": "length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.De <= 0 or self.re <= 0:
             raise InvalidParameters("Kratzer-Fues needs De > 0 and re > 0")
 
@@ -299,6 +315,7 @@ class Coulomb:
     param_units: ClassVar[dict] = {"e2": "energy*length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.e2 <= 0:
             raise InvalidParameters("Coulomb needs e2 > 0 for binding")
 
@@ -355,6 +372,7 @@ class Pseudoharmonic:
     param_units: ClassVar[dict] = {"V0": "energy", "r0": "length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V0 <= 0 or self.r0 <= 0:
             raise InvalidParameters("Pseudoharmonic needs V0 > 0 and r0 > 0")
 
@@ -422,6 +440,7 @@ class NoncentralRadial:
     param_units: ClassVar[dict] = {"alpha": "energy*length", "lambda": "energy*length^2"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha >= 0:
             raise InvalidParameters("noncentral radial part needs alpha < 0 for binding")
         if self.lam < 0:
@@ -491,6 +510,7 @@ class DeformedRosenMorse:
                                    "a": "1/length", "eta": "dimensionless"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V1 < 0:
             raise InvalidParameters("Rosen-Morse step height V1 must be >= 0")
         if self.V2 <= 0:
@@ -583,6 +603,7 @@ class WoodsSaxon:
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy", "a": "1/length"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V1 < 0:
             raise InvalidParameters("Woods-Saxon step depth V1 must be >= 0")
         if self.V2 <= 0:
@@ -667,6 +688,7 @@ class PoschlTeller:
     param_units: ClassVar[dict] = {"V0": "energy", "a": "1/length", "eta": "dimensionless"}
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V0 <= 0:
             raise InvalidParameters("Poschl-Teller needs V0 > 0")
         if self.a <= 0 or self.eta <= 0:

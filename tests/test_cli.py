@@ -91,6 +91,38 @@ def test_invalid_parameters_exit_code():
     assert code == EXIT_INVALID
 
 
+
+# one valid parameter set per family (the acceptance desk cases)
+DESK_PARAMS = {
+    "morse": {"V1": 100.0, "V2": 20.0, "a": 1.0},
+    "mie": {"V0": 5.0, "a": 1.0},
+    "kratzer_fues": {"De": 10.0, "re": 1.0},
+    "coulomb": {"e2": 1.0},
+    "pseudoharmonic": {"V0": 2.0, "r0": 1.0},
+    "noncentral_radial": {"alpha": -1.0, "lambda": 0.0},
+    "rosen_morse": {"V1": 4.0, "V2": 8.0, "a": 0.5, "eta": 1.0},
+    "woods_saxon": {"V1": 5.0, "V2": 10.0, "a": 1.0},
+    "poschl_teller": {"V0": 10.0, "a": 1.0, "eta": 1.0},
+}
+NON_FINITE_CASES = (
+    [(family, name) for family, params in DESK_PARAMS.items() for name in params]
+    + [("coulomb", "hbar"), ("coulomb", "mass")]
+)
+
+
+@pytest.mark.parametrize("family,name", NON_FINITE_CASES)
+def test_non_finite_parameter_is_invalid_and_named(family, name, capsys):
+    for bad in ("nan", "inf", "-inf"):
+        args = ["spectrum", "--potential", family]
+        for key, value in DESK_PARAMS[family].items():
+            args += ["--param", f"{key}={bad}" if key == name else f"{key}={value!r}"]
+        if name in ("hbar", "mass"):
+            args.append(f"--{name}={bad}")
+        code, _ = run_cli(args)
+        assert code == EXIT_INVALID, (args, code)
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- wavefunction
 
 def test_wavefunction_ground_state_nodeless():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     Coulomb,
@@ -29,6 +31,7 @@ from specbound import (
     sturm_count,
     wavefunction,
 )
+from specbound.oracle import _lowest_eigenvalues
 
 UNITS = UnitsConfig()
 
@@ -68,6 +71,84 @@ def test_bisection_matches_toeplitz_spectrum():
     values = lowest_eigenvalues([2.0 * t] * n, [-t] * (n - 1), n)
     exact = [2 * t * (1 - math.cos((k + 1) * math.pi / (n + 1))) for k in range(n)]
     assert np.allclose(values, exact, atol=1e-10)
+
+
+
+def _assert_lowest_match_eigvalsh(diag, off, count):
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    exact = np.linalg.eigvalsh(matrix)[:count]
+    values = lowest_eigenvalues(diag, off, count)
+    # the certified bracket is at most 1e-12 wide; the rest is rounding in
+    # the Sturm recursion and in LAPACK, a few ulp of the matrix norm
+    tol = 1e-12 + 64 * np.finfo(float).eps * np.max(np.abs(matrix))
+    assert len(values) == len(exact)
+    assert np.allclose(values, exact, rtol=0.0, atol=tol)
+
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.lists(_entries, min_size=n, max_size=n),
+                        st.lists(_entries, min_size=n - 1, max_size=n - 1),
+                        st.integers(1, n))))
+def test_lowest_eigenvalues_match_eigvalsh(matrix):
+    diag, off, count = matrix
+    _assert_lowest_match_eigvalsh(diag, off, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+def test_lowest_eigenvalues_repeated_without_coupling(diag):
+    # zero off-diagonals give exactly repeated eigenvalues: no bracket ever
+    # holds a single one, and every count jumps past some levels
+    diag = [float(v) for v in diag]
+    _assert_lowest_match_eigvalsh(diag, [0.0] * (len(diag) - 1), len(diag))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_entries, min_size=2, max_size=40))
+def test_lowest_eigenvalues_whole_spectrum(diag):
+    n = len(diag)
+    off = [0.5 + 0.1 * i for i in range(n - 1)]
+    _assert_lowest_match_eigvalsh(diag, off, n)
+
+
+def test_wrong_seeds_still_give_the_spectrum():
+    n, t = 60, 1.0
+    diag = [2.0 * t] * n
+    off2 = [t * t] * (n - 1)
+    exact = [2 * t * (1 - math.cos((k + 1) * math.pi / (n + 1))) for k in range(4)]
+    gap = exact[1] - exact[0]
+    bad_seeds = [
+        exact[::-1],                          # every seed at another level
+        [1e6, -1e6, 4.0, 0.0],                # outside the spectrum or far off
+        [e + 0.5 * gap for e in exact],       # between levels
+        [exact[0]] * 4,                       # one seed for all
+        [math.nan, math.inf, -math.inf, exact[3]],
+        exact[:2],                            # fewer seeds than levels
+    ]
+    unseeded, _ = _lowest_eigenvalues(diag, off2, 4)
+    assert np.allclose(unseeded, exact, rtol=0.0, atol=1e-12)
+    for seeds in bad_seeds:
+        values, _ = _lowest_eigenvalues(diag, off2, 4, seeds=seeds)
+        assert np.allclose(values, exact, rtol=0.0, atol=1e-12), seeds
+    # seeds sitting exactly on eigenvalues of a decoupled matrix hit the
+    # pivot floor
+    diag = [3.0, 1.0, 2.0, 1.0]
+    values, _ = _lowest_eigenvalues(diag, [0.0] * 3, 4, seeds=[1.0, 1.0, 2.0, 3.0])
+    assert np.allclose(values, [1.0, 1.0, 2.0, 3.0], rtol=0.0, atol=1e-12)
+
+
+def test_sturm_sweep_budget_coulomb():
+    # three Coulomb levels on the default grid: 162 sweeps at h and 168 at
+    # h/2 with plain bisection from the Gershgorin bounds
+    spec = Coulomb(e2=1.0)
+    first = fd_eigenvalues(spec, 0, UNITS, count=3)
+    at_h, at_half_h = first.sturm_sweeps
+    assert at_h <= 50 and at_half_h <= 30
+    assert fd_eigenvalues(spec, 0, UNITS, count=3).sturm_sweeps == first.sturm_sweeps
 
 
 # ----------------------------------------------------------------- quadrature
