@@ -212,7 +212,7 @@ def cmd_list(args, out) -> int:
 def cmd_spectrum(args, out) -> int:
     config = _config_from_args(args)
     states = pot.spectrum(config.potential, config.l, config.units,
-                          n_max=config.n_max, grid=config.grid)
+                          n_max=config.n_max)
     if not states:
         print("no bound states exist for these parameters", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
@@ -243,8 +243,7 @@ def cmd_wavefunction(args, out) -> int:
     n = args.n
     if n is None or n < 0:
         raise InvalidParameters("wavefunction needs --n >= 0")
-    states = pot.spectrum(config.potential, config.l, config.units,
-                          n_max=n, grid=config.grid)
+    states = pot.spectrum(config.potential, config.l, config.units, n_max=n)
     if len(states) <= n:
         print(f"level (n={n}, l={config.l}) does not exist", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
@@ -273,7 +272,7 @@ def cmd_wavefunction(args, out) -> int:
 
 def _verify_single(config: RunConfig) -> dict:
     states = pot.spectrum(config.potential, config.l, config.units,
-                          n_max=config.n_max, grid=config.grid)
+                          n_max=config.n_max)
     if not states:
         raise NoBoundState("no bound states exist for these parameters")
     spectrum_oracle = orc.fd_eigenvalues(config.potential, config.l, config.units,

@@ -352,7 +352,7 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     if strict_grid and not adequate:
         raise GridTooCoarse(
             f"eigenvalues moved by {shift:.3e} relative when doubling the resolution")
-    asym = pot.bound_asymptote(spec, l, units)
+    asym = pot.bound_asymptote(spec)
     bound = tuple(float(v) for v in values if v < asym)
     return OracleSpectrum(eigenvalues=bound, grid=grid,
                           boundary=("dirichlet", "dirichlet"),

@@ -4,8 +4,9 @@ Each family knows its physical-parameter validation, its change of variable
 s(x) that brings the Schrodinger equation into the six-parameter form
 handled by :mod:`specbound.parametric`, the energy dependence of the L
 coefficients, the root-sign configuration, a closed-form level formula
-rederived from the series-termination condition, and a sensible default
-verification grid.
+rederived from the series-termination condition, a sensible default
+verification grid, and the Jacobian of its coordinate map, from which the
+norm of every state follows in closed form.
 
 Closed forms here are rederived from the termination condition, not copied
 from commonly printed variants, several of which carry transcription
@@ -46,11 +47,15 @@ from .parametric import (
     solve_laguerre_constants,
 )
 from .polynomials import jacobi_eval, laguerre_eval
-from .quadrature import RadialGrid, golden_section_minimize, simpson_integrate
+from .quadrature import RadialGrid, golden_section_minimize
+# unused here; bench/tracing.py counts quadrature work under this attribute
+from .quadrature import simpson_integrate  # noqa: F401
 
 DEFAULT_GRID_POINTS = 4000
-#: radial grids carry a denser baseline: 4000 points over [0, 80] leaves a
-#: 4e-8 Simpson error in the hydrogen ground-state norm, above the 1e-8 target
+#: radial grids carry a denser baseline for the oracle and for Simpson checks
+#: of the exact norms: on [0, 80] the hydrogen ground level's Richardson shift
+#: is 3.3e-5 at 6000 points (7.5e-5 at 4000), and Simpson recovers its norm to
+#: 8e-9 (4e-8 at 4000, above the 1e-8 normalization tolerance)
 RADIAL_GRID_POINTS = 6000
 RADIAL_DEFAULT_XMAX = 80.0
 #: a 1-D grid edge is placed where |V - V_asymptote| drops below this
@@ -89,12 +94,19 @@ class UnitsConfig:
 @dataclass(frozen=True)
 class CoordinateMap:
     """Change of variable from the physical coordinate to s, plus the weight
-    used in norm integrals (r^2 for radial problems, 1 in one dimension)."""
+    used in norm integrals (r^2 for radial problems, 1 in one dimension).
+
+    ``jacobian`` = (C, m, j) declares the norm weight in the s variable,
+    measure(x) |dx/ds| = C s^m (1 + c3 s)^j, with c3 from the family's
+    parametric form.  It turns every norm integral into a Laguerre or
+    Jacobi weight integral with a closed form.
+    """
 
     s_of_x: Callable[[np.ndarray], np.ndarray]
     x_domain: tuple[float, float]
     s_domain: tuple[float, float]
     measure: Callable[[np.ndarray], np.ndarray]
+    jacobian: tuple[float, float, float]
 
 
 def _radial_measure(x):
@@ -103,6 +115,14 @@ def _radial_measure(x):
 
 def _flat_measure(x):
     return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _identity_radial_map() -> CoordinateMap:
+    """s = r with the r^2 measure: the Mie, Kratzer-Fues, Coulomb and
+    noncentral substitution."""
+    return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
+                         x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
+                         measure=_radial_measure, jacobian=(1.0, 2.0, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -154,8 +174,10 @@ class GeneralizedMorse:
         def s_of_x(x):
             return root_v1 * np.exp(-a * np.asarray(x, dtype=float))
 
+        # |dx/ds| = 1/(a s)
         return CoordinateMap(s_of_x=s_of_x, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, math.inf), measure=_flat_measure)
+                             s_domain=(0.0, math.inf), measure=_flat_measure,
+                             jacobian=(1.0 / a, -1.0, 0.0))
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -212,9 +234,7 @@ class Mie:
         return RootChoice()
 
     def coordinate_map(self, l, units) -> CoordinateMap:
-        return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                             measure=_radial_measure)
+        return _identity_radial_map()
 
     def _lam23(self, l, units):
         lam2 = 2 * units.mass * self.a * self.V0 / units.hbar**2
@@ -271,9 +291,7 @@ class KratzerFues:
         return RootChoice()
 
     def coordinate_map(self, l, units) -> CoordinateMap:
-        return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                             measure=_radial_measure)
+        return _identity_radial_map()
 
     def _lam23(self, l, units):
         lam2 = 4 * units.mass * self.De * self.re / units.hbar**2
@@ -330,9 +348,7 @@ class Coulomb:
         return RootChoice()
 
     def coordinate_map(self, l, units) -> CoordinateMap:
-        return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                             measure=_radial_measure)
+        return _identity_radial_map()
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         lam2 = 2 * units.mass * self.e2 / units.hbar**2
@@ -390,8 +406,10 @@ class Pseudoharmonic:
         def s_of_x(r):
             return np.asarray(r, dtype=float) ** 2
 
+        # r^2 |dr/ds| = s / (2 sqrt(s))
         return CoordinateMap(s_of_x=s_of_x, x_domain=(0.0, math.inf),
-                             s_domain=(0.0, math.inf), measure=_radial_measure)
+                             s_domain=(0.0, math.inf), measure=_radial_measure,
+                             jacobian=(0.5, 0.5, 0.0))
 
     def _lams(self, l, units):
         lam1 = units.mass * self.V0 / (2 * units.hbar**2 * self.r0**2)
@@ -460,9 +478,7 @@ class NoncentralRadial:
         return RootChoice()
 
     def coordinate_map(self, l, units) -> CoordinateMap:
-        return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                             measure=_radial_measure)
+        return _identity_radial_map()
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         lam2 = -2 * units.mass * self.alpha / units.hbar**2
@@ -545,8 +561,10 @@ class DeformedRosenMorse:
         return RootChoice(q_sign=+1, p_sign=-1)
 
     def coordinate_map(self, l, units) -> CoordinateMap:
+        # |dx/ds| = 1/(2a s (1 - eta s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure)
+                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
+                             jacobian=(0.5 / self.a, -1.0, -1.0))
 
     def _scaled(self, units):
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -635,8 +653,10 @@ class WoodsSaxon:
         return RootChoice(q_sign=+1, p_sign=-1)
 
     def coordinate_map(self, l, units) -> CoordinateMap:
+        # |dx/ds| = 1/(a s (1 - s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0), measure=_flat_measure)
+                             s_domain=(0.0, 1.0), measure=_flat_measure,
+                             jacobian=(1.0 / self.a, -1.0, -1.0))
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -715,8 +735,10 @@ class PoschlTeller:
         return RootChoice(q_sign=+1, p_sign=-1)
 
     def coordinate_map(self, l, units) -> CoordinateMap:
+        # |dx/ds| = 1/(2a s (1 - eta s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure)
+                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
+                             jacobian=(0.5 / self.a, -1.0, -1.0))
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -761,7 +783,12 @@ _CASE_ORDER = ["morse", "mie", "kratzer_fues", "coulomb", "pseudoharmonic",
 @dataclass(frozen=True)
 class BoundState:
     """One solved level: quantum numbers, energy, branch constants at that
-    energy, and the normalization fixed by Simpson quadrature."""
+    energy, and its exact normalization.
+
+    ``norm_constant`` multiplies psi divided by the peak value of its
+    prefactor (s^q e^(-p s) or s^q (1 + c3 s)^(-p)), which keeps the
+    constant finite for heavy particles and deep wells; ``wavefunction``
+    applies it."""
 
     potential: PotentialSpec
     units: UnitsConfig
@@ -850,7 +877,7 @@ def _outer_turning_point(spec, l: int, units: UnitsConfig, energy: float) -> flo
 
 def default_grid(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig(),
                  n_max: int = 8, n_points: int | None = None) -> RadialGrid:
-    """Verification and normalization grid adequate for levels up to n_max.
+    """Verification and sampling grid adequate for levels up to n_max.
 
     Radial families start at the origin (the physical boundary of the
     reduced problem) and extend to three times the outer classical turning
@@ -978,8 +1005,7 @@ def effective_potential(spec: PotentialSpec, l: int, units: UnitsConfig, x):
     return v
 
 
-def bound_asymptote(spec: PotentialSpec, l: int = 0,
-                    units: UnitsConfig = UnitsConfig()) -> float:
+def bound_asymptote(spec: PotentialSpec) -> float:
     """Energy ceiling below which states are bound (the lower of the two
     asymptotic potential values)."""
     return spec.asymptote()
@@ -996,18 +1022,46 @@ def closed_form_energy(spec: PotentialSpec, l: int, units: UnitsConfig, n: int) 
     return spec.closed_form(n, l, units)
 
 
+def _prefactor_peak(pc: ParametricCoefficients,
+                    constants: JacobiBranchConstants | LaguerreBranchConstants
+                    ) -> tuple[float, float]:
+    """Where the prefactor of psi peaks, and its log there.
+
+    s^q e^(-p s) peaks at s* = q/p and s^q (1 + c3 s)^(-p) at
+    s* = q / (c3 (p - q)); with q = 0 the peak sits at s* = 0 with value 1.
+    Dividing psi by this peak keeps it near 1 where the state lives, so
+    heavy particles and deep wells neither underflow psi nor overflow its
+    norm constant.
+    """
+    if isinstance(constants, LaguerreBranchConstants):
+        q, p = constants.q10, constants.p10
+        if q == 0.0:
+            return 0.0, 0.0
+        s_star = q / p
+        return s_star, q * math.log(s_star) - p * s_star
+    q, p = constants.q0, constants.p0
+    if q == 0.0:
+        return 0.0, 0.0
+    s_star = q / (pc.c3 * (p - q))
+    return s_star, q * math.log(s_star) - p * math.log1p(pc.c3 * s_star)
+
+
 def _unnormalized_psi(pc: ParametricCoefficients,
                       constants: JacobiBranchConstants | LaguerreBranchConstants,
                       n: int, s: np.ndarray) -> np.ndarray:
+    """psi at s, divided by the peak value of its prefactor."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
+    s_star, _ = _prefactor_peak(pc, constants)
+    # the prefactor as exp(t), t <= 0, avoids 0 * inf overflow at large s
+    t = np.full_like(s, -np.inf)
     if isinstance(constants, LaguerreBranchConstants):
         q, p, k = constants.q10, constants.p10, constants.k
         y = (2 * p - pc.c2) * s
         pos = s > 0
-        # exp(q ln s - p s) avoids 0 * inf overflow at large s
-        t = np.full_like(s, -np.inf)
-        t[pos] = q * np.log(s[pos]) - p * s[pos]
+        t[pos] = -p * (s[pos] - s_star)
+        if q != 0.0:
+            t[pos] += q * np.log(s[pos] / s_star)
         live = pos & (t > -700.0)
         out[live] = np.exp(t[live]) * np.asarray(laguerre_eval(n, k, y[live]))
         if q == 0.0:
@@ -1017,17 +1071,66 @@ def _unnormalized_psi(pc: ParametricCoefficients,
         base = 1.0 + pc.c3 * s
         z = 1.0 + 2.0 * pc.c3 * s
         pos = (s > 0) & (base > 0)
-        out[pos] = (base[pos] ** (-p) * s[pos] ** q
-                    * np.asarray(jacobi_eval(n, constants.alpha, constants.beta, z[pos])))
+        t[pos] = -p * np.log(base[pos] / (1.0 + pc.c3 * s_star))
+        if q != 0.0:
+            t[pos] += q * np.log(s[pos] / s_star)
+        live = pos & (t > -700.0)
+        out[live] = np.exp(t[live]) * np.asarray(
+            jacobi_eval(n, constants.alpha, constants.beta, z[live]))
     return out
+
+
+def _log_norm_sq(pc: ParametricCoefficients,
+                 constants: JacobiBranchConstants | LaguerreBranchConstants,
+                 n: int, jacobian: tuple[float, float, float]) -> float:
+    """log of the norm integral of s^q e^(-p s) L_n^k(2 p s) (Laguerre) or
+    s^q (1 + c3 s)^(-p) P_n^(alpha, beta)(1 + 2 c3 s) (Jacobi), in closed form,
+    with the weight C s^m (1 + c3 s)^j of ``CoordinateMap.jacobian``.
+
+    Laguerre: with t = 2 p s and a = 2q + m = k + d the integral is
+    C (2p)^-(a+1) int t^a e^-t [L_n^k(t)]^2 dt, and that integral is
+    Gamma(n+k+1)/n! times (2n+k+1), 1 or 1/k for d = +1, 0, -1.
+
+    Jacobi (c3 < 0): with z = 1 + 2 c3 s the weight becomes
+    (1-z)^(alpha-1) (1+z)^(beta-1) on (-1, 1), and
+    int (1-z)^(alpha-1) (1+z)^(beta-1) [P_n]^2 dz
+      = 2^(alpha+beta-1) Gamma(n+alpha+1) Gamma(n+beta+1) (alpha+beta)
+        / (n! alpha beta Gamma(n+alpha+beta+1));
+    the powers of 2 cancel against the substitution, leaving C |c3|^-alpha
+    times the Gamma ratio.
+    """
+    scale, m, j = jacobian
+    log_n_fact = math.lgamma(n + 1)
+    if isinstance(constants, LaguerreBranchConstants):
+        p, k = constants.p10, constants.k
+        d = m + 1.0 - pc.c1
+        if pc.c2 != 0.0 or d not in (-1.0, 0.0, 1.0):
+            raise ValueError(f"no closed-form Laguerre norm for c2 = {pc.c2}, "
+                             f"t^(k{d:+g}) weight")
+        log_integral = math.lgamma(n + k + 1) - log_n_fact
+        if d == 1.0:
+            log_integral += math.log(2 * n + k + 1)
+        elif d == -1.0:
+            log_integral -= math.log(k)
+        return math.log(scale) - (k + d + 1) * math.log(2 * p) + log_integral
+    alpha, beta = constants.alpha, constants.beta
+    if (pc.c3 >= 0.0 or m + 1.0 - pc.c1 != -1.0
+            or j + pc.c1 + 1.0 - pc.c2 / pc.c3 != -1.0):
+        raise ValueError(f"no closed-form Jacobi norm for c3 = {pc.c3}, weight "
+                         f"s^{m:g} (1 + c3 s)^{j:g}")
+    return (math.log(scale) - alpha * math.log(-pc.c3)
+            + math.lgamma(n + alpha + 1) + math.lgamma(n + beta + 1)
+            - math.lgamma(n + alpha + beta + 1) - log_n_fact
+            + math.log((alpha + beta) / (alpha * beta)))
 
 
 def wavefunction(state: BoundState, x):
     """Evaluate the normalized analytic bound state at physical coordinate x.
 
     Laguerre branch: exp(-p s) s^q L_n^k((2p - c2) s); Jacobi branch:
-    (1 + c3 s)^(-p) s^q P_n^(alpha, beta)(1 + 2 c3 s); both at s = s(x) and
-    scaled by the stored norm constant.
+    (1 + c3 s)^(-p) s^q P_n^(alpha, beta)(1 + 2 c3 s); both at s = s(x),
+    divided by the peak of the prefactor and scaled by the stored norm
+    constant.
     """
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -1041,14 +1144,15 @@ def wavefunction(state: BoundState, x):
 
 
 def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig(),
-             n_max: int = 0, grid: RadialGrid | None = None) -> list[BoundState]:
+             n_max: int = 0) -> list[BoundState]:
     """All bound states with n <= n_max, in strictly increasing energy.
 
     Each Jacobi-branch state passes the r2 = 0, r1 + r3 = 0 consistency
-    identities at its own energy.  Normalization constants come from
-    composite Simpson quadrature of |psi|^2 times the coordinate measure on
-    the verification grid.  The list ends early when a finite well runs out
-    of levels.
+    identities at its own energy.  Normalization constants are exact: the
+    norm integral of every catalog state is a Laguerre or Jacobi weight
+    integral with a closed form, evaluated in log space from the declared
+    Jacobian of the coordinate map; no grid is involved.  The list ends
+    early when a finite well runs out of levels.
     """
     _validate_l(spec, l)
     if n_max < 0:
@@ -1058,11 +1162,6 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     if not lo < hi:
         return []
     rc = spec.root_choice()
-    if grid is None:
-        grid = default_grid(spec, l, units, n_max=n_max)
-    x = grid.points()
-    s = np.asarray(cmap.s_of_x(x), dtype=float)
-    weight = cmap.measure(x)
 
     states: list[BoundState] = []
     floor_e = None
@@ -1077,13 +1176,12 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
             consistency_check(constants)
         else:
             constants = solve_laguerre_constants(pc)
-        psi = _unnormalized_psi(pc, constants, n, s)
-        norm_sq = simpson_integrate(psi * psi * weight, grid.h)
-        if not norm_sq > 0:
-            raise InvalidParameters(f"level n = {n} has vanishing norm on the grid")
+        # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
+        log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
+                       - 2.0 * _prefactor_peak(pc, constants)[1])
         states.append(BoundState(potential=spec, units=units, n=n, l=l,
                                  energy=energy, constants=constants,
                                  coefficients=pc, cmap=cmap,
-                                 norm_constant=1.0 / math.sqrt(norm_sq)))
+                                 norm_constant=math.exp(-0.5 * log_norm_sq)))
         floor_e = energy + 1e-11 * max(abs(energy), 1.0)
     return states

@@ -1,6 +1,7 @@
 """Uniform grids, composite Simpson quadrature, node counting, and a
-golden-section minimizer.  Shared by the potential catalog (normalization,
-well-depth location) and the finite-difference verifier."""
+golden-section minimizer.  Shared by the potential catalog (well-depth
+location, default grids) and the finite-difference verifier; Simpson is
+also the tests' independent check of the closed-form norms."""
 
 from __future__ import annotations
 

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from specbound import Coulomb, RadialGrid, UnitsConfig
+from specbound import (
+    Coulomb,
+    GeneralizedMorse,
+    RadialGrid,
+    UnitsConfig,
+    closed_form_energy,
+)
 from specbound.cli import (
     EXIT_INVALID,
     EXIT_NO_BOUND_STATE,
@@ -70,6 +76,25 @@ def test_spectrum_json_echoes_config():
     assert payload["config"]["potential"]["params"] == {"e2": 1.0}
     assert len(payload["levels"]) == 2
     assert abs(payload["levels"][0]["residual"]) < 1e-10
+
+
+@pytest.mark.parametrize("argv, spec, units", [
+    # a Bohr radius of 1e-6, far below any default grid step
+    (["--potential", "coulomb", "--param", "e2=1", "--hbar", "1e-3"],
+     Coulomb(e2=1.0), UnitsConfig(hbar=1e-3)),
+    # the textbook psi is near e^-1414 at its peak
+    (["--potential", "morse", "--param", "V1=100", "--param", "V2=20",
+      "--param", "a=1", "--mass", "1e6"],
+     GeneralizedMorse(100.0, 20.0, 1.0), UnitsConfig(mass=1e6)),
+], ids=["coulomb-hbar-1e-3", "morse-mass-1e6"])
+def test_spectrum_extreme_units_match_closed_form(argv, spec, units):
+    code, text = run_cli(["spectrum", *argv, "--format", "json"])
+    assert code == EXIT_OK
+    levels = json.loads(text)["levels"]
+    assert [lv["n"] for lv in levels] == [0, 1, 2]
+    for lv in levels:
+        exact = closed_form_energy(spec, 0, units, lv["n"])
+        assert lv["energy"] == pytest.approx(exact, rel=1e-10)
 
 
 def test_spectrum_exhausted_exit_code():
