@@ -42,6 +42,7 @@ from .parametric import (
     compact_jacobi_residual,
     consistency_check,
     quantization_residual,
+    quantization_residuals,
     solve_energy,
     solve_jacobi_constants,
     solve_laguerre_constants,

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
     ConsistencyViolation,
     NegativeDiscriminant,
@@ -109,13 +111,18 @@ class EnergyDependentForm:
     """Coefficients as a function of trial energy, plus the window where
     bound states may live.
 
-    ``coeff_at`` must be deterministic and must keep c1, c2, c3 fixed; only
-    the L_i may carry the energy dependence.  ``energy_window`` is an open
-    interval; the upper edge may be ``math.inf`` for confining potentials.
+    ``coeff_at`` must be deterministic and must keep c1, c2, c3 fixed floats;
+    only the L_i may carry the energy dependence.  It must also broadcast:
+    given an ndarray of energies it returns the L_i as arrays, computed with
+    the same per-element arithmetic as for a float, because the residual
+    scan evaluates all its trial energies in one call.  (Write e * e, not
+    e ** 2: numpy squares where a float calls pow.)  ``energy_window`` is an
+    open interval; the upper edge may be ``math.inf`` for confining
+    potentials.
     """
 
     branch: str
-    coeff_at: Callable[[float], ParametricCoefficients]
+    coeff_at: Callable[[float | np.ndarray], ParametricCoefficients]
     energy_window: tuple[float, float]
 
 
@@ -123,6 +130,80 @@ class EnergyDependentForm:
 class ConsistencyReport:
     r2_abs: float
     r1_plus_r3_abs: float
+
+
+def _real_sqrt(disc, which):
+    """Square root of a branch discriminant at one trial energy; a negative
+    discriminant means no bound state there."""
+    if disc < 0.0:
+        raise NegativeDiscriminant(f"{which} discriminant {disc} < 0")
+    return math.sqrt(disc)
+
+
+def _sqrt_or_nan(disc, which):
+    # _real_sqrt elementwise: NaN where negative (the caller silences the warning)
+    return np.sqrt(disc)
+
+
+def _scalar_quotient(num, denom):
+    # denom = c2 - 2 p10 vanishes only on the boundary of the admissible
+    # regime, where gamma2 is defined only when its numerator vanishes too
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else math.nan
+    return num / denom
+
+
+def _array_quotient(num, denom):
+    # _scalar_quotient elementwise (the caller silences the 0/0 warnings)
+    return np.where(denom == 0.0, np.where(num == 0.0, 0.0, np.nan), num / denom)
+
+
+def _jacobi_core(pc, root_choice, sqrt):
+    """(q0, p0, alpha, beta, D, H, r3) of the c3 != 0 branch.
+
+    The arithmetic works on floats and on arrays of trial energies alike;
+    ``sqrt`` decides what a negative discriminant does (raise, or NaN).
+    """
+    c1, c2, c3 = pc.c1, pc.c2, pc.c3
+    l1, l2, l3 = pc.lambda1, pc.lambda2, pc.lambda3
+
+    half_q = (1.0 - c1) / 2.0
+    q0 = half_q + root_choice.q_sign * sqrt(half_q * half_q + l3, "q")
+
+    ratio = c2 / c3
+    big_d = ratio - c1 - 1.0
+    big_h = l1 / c3**2 + l2 / c3 + l3
+    p0 = big_d / 2.0 + root_choice.p_sign * sqrt((big_d / 2.0) ** 2 + big_h, "p")
+
+    alpha = 2.0 * q0 + c1 - 1.0
+    beta = -2.0 * p0 - c1 + ratio - 1.0
+    r3 = (q0 * (q0 - 1) + 2 * p0 * q0 + p0 * (p0 + 1) + 2 * c1 * (q0 + p0)
+          - ratio * (q0 + p0) - l1 / c3**2 - 2 * l2 / c3 - 4 * l3)
+    return q0, p0, alpha, beta, big_d, big_h, r3
+
+
+def _laguerre_core(pc, sqrt, quotient):
+    """(q10, p10, c2 - 2 p10, gamma2) of the c3 = 0 branch, on floats or
+    arrays alike; ``quotient`` handles the c2 - 2 p10 = 0 boundary."""
+    c1, c2 = pc.c1, pc.c2
+    l1, l2, l3 = pc.lambda1, pc.lambda2, pc.lambda3
+
+    half_q = (1.0 - c1) / 2.0
+    q10 = half_q + sqrt(half_q * half_q + l3, "q")
+    p10 = c2 / 2.0 + sqrt((c2 / 2.0) ** 2 + l1, "p")
+
+    denom = c2 - 2.0 * p10
+    gamma2 = quotient(2 * q10 * p10 - c2 * q10 + c1 * p10 - l2, denom)
+    return q10, p10, denom, gamma2
+
+
+def _termination_residual(pc, n, root_choice, sqrt, quotient):
+    """r3 - n (n + alpha + beta + 1) on the Jacobi branch, gamma2 - n on the
+    Laguerre branch: the one body behind the scalar and the array residual."""
+    if pc.branch == JACOBI:
+        _, _, alpha, beta, _, _, r3 = _jacobi_core(pc, root_choice, sqrt)
+        return r3 - n * (n + alpha + beta + 1.0)
+    return _laguerre_core(pc, sqrt, quotient)[3] - n
 
 
 def solve_jacobi_constants(pc: ParametricCoefficients,
@@ -140,31 +221,13 @@ def solve_jacobi_constants(pc: ParametricCoefficients,
     """
     if pc.branch != JACOBI:
         raise NotJacobiBranch("coefficients have c3 = 0")
-    c1, c2, c3 = pc.c1, pc.c2, pc.c3
-    l1, l2, l3 = pc.lambda1, pc.lambda2, pc.lambda3
-
-    half_q = (1.0 - c1) / 2.0
-    disc_q = half_q * half_q + l3
-    if disc_q < 0.0:
-        raise NegativeDiscriminant(f"q discriminant {disc_q} < 0")
-    q0 = half_q + root_choice.q_sign * math.sqrt(disc_q)
-
-    ratio = c2 / c3
-    big_d = ratio - c1 - 1.0
-    big_h = l1 / c3**2 + l2 / c3 + l3
-    disc_p = (big_d / 2.0) ** 2 + big_h
-    if disc_p < 0.0:
-        raise NegativeDiscriminant(f"p discriminant {disc_p} < 0")
-    p0 = big_d / 2.0 + root_choice.p_sign * math.sqrt(disc_p)
-
-    alpha = 2.0 * q0 + c1 - 1.0
-    beta = -2.0 * p0 - c1 + ratio - 1.0
+    q0, p0, alpha, beta, big_d, big_h, r3 = _jacobi_core(pc, root_choice, _real_sqrt)
+    c1, ratio, c3 = pc.c1, pc.c2 / pc.c3, pc.c3
+    l1, l2 = pc.lambda1, pc.lambda2
 
     r1 = q0 * (q0 - 1) - 2 * p0 * q0 + p0 * (p0 + 1) + ratio * (q0 - p0) - l1 / c3**2
     r2 = (2 * q0 * (q0 - 1) - 2 * p0 * (p0 + 1) + 2 * c1 * (q0 - p0)
           + 2 * ratio * p0 + 2 * l1 / c3**2 + 2 * l2 / c3)
-    r3 = (q0 * (q0 - 1) + 2 * p0 * q0 + p0 * (p0 + 1) + 2 * c1 * (q0 + p0)
-          - ratio * (q0 + p0) - l1 / c3**2 - 2 * l2 / c3 - 4 * l3)
 
     return JacobiBranchConstants(q0=q0, p0=p0, alpha=alpha, beta=beta,
                                  D=big_d, H=big_h, r1=r1, r2=r2, r3=r3)
@@ -180,32 +243,13 @@ def solve_laguerre_constants(pc: ParametricCoefficients) -> LaguerreBranchConsta
     """
     if pc.branch != LAGUERRE:
         raise NotLaguerreBranch("coefficients have c3 != 0")
+    q10, p10, denom, gamma2 = _laguerre_core(pc, _real_sqrt, _scalar_quotient)
     c1, c2 = pc.c1, pc.c2
-    l1, l2, l3 = pc.lambda1, pc.lambda2, pc.lambda3
-
-    half_q = (1.0 - c1) / 2.0
-    disc_q = half_q * half_q + l3
-    if disc_q < 0.0:
-        raise NegativeDiscriminant(f"q discriminant {disc_q} < 0")
-    q10 = half_q + math.sqrt(disc_q)
-
-    disc_p = (c2 / 2.0) ** 2 + l1
-    if disc_p < 0.0:
-        raise NegativeDiscriminant(f"p discriminant {disc_p} < 0")
-    p10 = c2 / 2.0 + math.sqrt(disc_p)
 
     k = c1 + 2.0 * q10 - 1.0
-    gamma3 = q10 * (q10 - 1) + c1 * q10 - l3
-    denom = c2 - 2.0 * p10
-    if denom == 0.0:
-        # boundary of the admissible regime; gamma1 vanishes by construction
-        # and gamma2 is defined only when its numerator vanishes too
-        num2 = 2 * q10 * p10 - c2 * q10 + c1 * p10 - l2
-        gamma1 = 0.0
-        gamma2 = 0.0 if num2 == 0.0 else math.nan
-    else:
-        gamma1 = (p10**2 - c2 * p10 - l1) / denom**2
-        gamma2 = (2 * q10 * p10 - c2 * q10 + c1 * p10 - l2) / denom
+    gamma3 = q10 * (q10 - 1) + c1 * q10 - pc.lambda3
+    # on the boundary denom = 0 gamma1 vanishes by construction
+    gamma1 = 0.0 if denom == 0.0 else (p10**2 - c2 * p10 - pc.lambda1) / denom**2
 
     return LaguerreBranchConstants(q10=q10, p10=p10, k=k,
                                    gamma1=gamma1, gamma2=gamma2, gamma3=gamma3)
@@ -219,16 +263,33 @@ def quantization_residual(form: EnergyDependentForm, n: int, energy: float,
     Laguerre branch: gamma2 - n.
 
     Zero exactly at the bound levels; continuous in the energy wherever the
-    branch constants are real.
+    branch constants are real.  Raises NegativeDiscriminant where they are
+    not.
     """
     if n < 0:
         raise ValueError("quantum number n must be nonnegative")
-    pc = form.coeff_at(energy)
-    if pc.branch == JACOBI:
-        jc = solve_jacobi_constants(pc, root_choice)
-        return jc.r3 - n * (n + jc.alpha + jc.beta + 1.0)
-    lc = solve_laguerre_constants(pc)
-    return lc.gamma2 - n
+    return _termination_residual(form.coeff_at(energy), n, root_choice,
+                                 _real_sqrt, _scalar_quotient)
+
+
+def quantization_residuals(form: EnergyDependentForm, n: int, energies: np.ndarray,
+                           root_choice: RootChoice = RootChoice()) -> np.ndarray:
+    """``quantization_residual`` at every energy of an array, in one numpy
+    evaluation of the same algebra.
+
+    Each finite value is bit-equal to the scalar residual at that energy.
+    The value is NaN where the scalar call raises NegativeDiscriminant or
+    returns an infinity.
+    """
+    if n < 0:
+        raise ValueError("quantum number n must be nonnegative")
+    energies = np.asarray(energies, dtype=float)
+    with np.errstate(all="ignore"):
+        f = _termination_residual(form.coeff_at(energies), n, root_choice,
+                                  _sqrt_or_nan, _array_quotient)
+    f = np.array(np.broadcast_to(f, energies.shape), dtype=float)
+    f[np.isinf(f)] = np.nan
+    return f
 
 
 def compact_jacobi_residual(form: EnergyDependentForm, n: int, energy: float,
@@ -297,20 +358,31 @@ def _bisect(form, n, root_choice, a, b, fa, fb) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_brackets(form, n, root_choice, lo, hi, scan_points):
-    """Yield sign-change brackets (a, b, fa, fb) on a uniform interior scan."""
-    prev_e = prev_f = None
-    for i in range(scan_points):
-        e = lo + (hi - lo) * (i + 0.5) / scan_points
-        f = _residual_or_nan(form, n, e, root_choice)
-        if math.isnan(f):
-            prev_e = prev_f = None
-            continue
-        if f == 0.0:
-            yield (e, e, f, f)
-        elif prev_f is not None and (prev_f < 0) != (f < 0):
-            yield (prev_e, e, prev_f, f)
-        prev_e, prev_f = e, f
+def _first_bracket(form, n, root_choice, lo, hi, scan_points):
+    """First sign-change bracket (a, b, fa, fb) of the residual on a uniform
+    interior scan of (lo, hi), or None.
+
+    All scan points are evaluated at once.  A NaN residual breaks the chain
+    of neighbours, so no bracket spans it; an exact zero at e gives (e, e).
+    """
+    energies = lo + (hi - lo) * (np.arange(scan_points) + 0.5) / scan_points
+    f = quantization_residuals(form, n, energies, root_choice)
+    valid = ~np.isnan(f)
+    negative = f < 0.0
+    event = f == 0.0
+    event[1:] |= valid[1:] & valid[:-1] & (negative[1:] != negative[:-1])
+    hits = np.flatnonzero(event)
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    if f[i] == 0.0:
+        return float(energies[i]), float(energies[i]), 0.0, 0.0
+    return float(energies[i - 1]), float(energies[i]), float(f[i - 1]), float(f[i])
+
+
+def _root_in(form, n, root_choice, bracket) -> float:
+    a, b, fa, fb = bracket
+    return a if a == b else _bisect(form, n, root_choice, a, b, fa, fb)
 
 
 def solve_energy(form: EnergyDependentForm, n: int,
@@ -319,9 +391,12 @@ def solve_energy(form: EnergyDependentForm, n: int,
                  above: float | None = None) -> float:
     """Find the bound-state energy of level n as a root of the residual.
 
-    Scans the energy window on a uniform grid for sign changes, then
-    bisects to machine-relative bracket width.  ``above`` restricts the
-    search to energies strictly above a previous level, which enforces the
+    Evaluates the residual at ``scan_points`` uniform interior energies of
+    the window in one numpy call (``quantization_residuals``), takes the
+    first sign change between neighbours where both are finite (or an exact
+    zero), then bisects it with scalar ``quantization_residual`` calls to
+    machine-relative bracket width.  ``above`` restricts the search to
+    energies strictly above a previous level, which enforces the
     E_0 < E_1 < ... ordering when multiple residual roots exist.  For
     windows that are unbounded above (confining potentials) the upper scan
     edge is expanded geometrically until the root is bracketed.
@@ -337,17 +412,14 @@ def solve_energy(form: EnergyDependentForm, n: int,
     if math.isinf(hi):
         span = max(1.0, abs(lo))
         for _ in range(64):
-            upper = lo + span
-            for a, b, fa, fb in _scan_brackets(form, n, root_choice, lo, upper, scan_points):
-                if a == b:
-                    return a
-                return _bisect(form, n, root_choice, a, b, fa, fb)
+            bracket = _first_bracket(form, n, root_choice, lo, lo + span, scan_points)
+            if bracket is not None:
+                return _root_in(form, n, root_choice, bracket)
             span *= 2.0
         raise NoBoundState(f"no residual root found for n = {n} (window unbounded above)")
     if not lo < hi:
         raise WindowDegenerate(f"empty energy window ({lo}, {hi})")
-    for a, b, fa, fb in _scan_brackets(form, n, root_choice, lo, hi, scan_points):
-        if a == b:
-            return a
-        return _bisect(form, n, root_choice, a, b, fa, fb)
+    bracket = _first_bracket(form, n, root_choice, lo, hi, scan_points)
+    if bracket is not None:
+        return _root_in(form, n, root_choice, bracket)
     raise NoBoundState(f"no residual root found for n = {n} in ({lo}, {hi})")

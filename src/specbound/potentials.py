@@ -100,6 +100,11 @@ class CoordinateMap:
     measure(x) |dx/ds| = C s^m (1 + c3 s)^j, with c3 from the family's
     parametric form.  It turns every norm integral into a Laguerre or
     Jacobi weight integral with a closed form.
+
+    ``base_of_x`` gives 1 + c3 s(x) on the Jacobi branch (None on the
+    Laguerre branch) in a form free of cancellation: formed from s(x), it
+    drops to rounding noise where s nears -1/c3, and so would the tail of
+    psi.
     """
 
     s_of_x: Callable[[np.ndarray], np.ndarray]
@@ -107,6 +112,7 @@ class CoordinateMap:
     s_domain: tuple[float, float]
     measure: Callable[[np.ndarray], np.ndarray]
     jacobian: tuple[float, float, float]
+    base_of_x: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _radial_measure(x):
@@ -115,6 +121,13 @@ def _radial_measure(x):
 
 def _flat_measure(x):
     return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _logistic(k: float, eta: float, x):
+    """1/(1 + eta e^(-k x)), which is 1 - eta/(e^(k x) + eta) without the
+    cancellation; it underflows to 0 rather than overflowing."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + eta * np.exp(-k * np.asarray(x, dtype=float)))
 
 
 def _identity_radial_map() -> CoordinateMap:
@@ -539,6 +552,9 @@ class DeformedRosenMorse:
         with np.errstate(over="ignore"):
             return 1.0 / (np.exp(2 * self.a * np.asarray(x, dtype=float)) + self.eta)
 
+    def _base(self, x):
+        return _logistic(2 * self.a, self.eta, x)
+
     def potential(self, x):
         s = self._s(x)
         one_minus = 1.0 - self.eta * s
@@ -564,7 +580,8 @@ class DeformedRosenMorse:
         # |dx/ds| = 1/(2a s (1 - eta s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
                              s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
-                             jacobian=(0.5 / self.a, -1.0, -1.0))
+                             jacobian=(0.5 / self.a, -1.0, -1.0),
+                             base_of_x=self._base)
 
     def _scaled(self, units):
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -633,6 +650,9 @@ class WoodsSaxon:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(self.a * np.asarray(x, dtype=float)))
 
+    def _base(self, x):
+        return _logistic(self.a, 1.0, x)
+
     def potential(self, x):
         s = self._s(x)
         return -self.V1 * s - self.V2 * s * (1.0 - s)
@@ -656,7 +676,8 @@ class WoodsSaxon:
         # |dx/ds| = 1/(a s (1 - s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
                              s_domain=(0.0, 1.0), measure=_flat_measure,
-                             jacobian=(1.0 / self.a, -1.0, -1.0))
+                             jacobian=(1.0 / self.a, -1.0, -1.0),
+                             base_of_x=self._base)
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -718,6 +739,9 @@ class PoschlTeller:
         with np.errstate(over="ignore"):
             return 1.0 / (np.exp(2 * self.a * np.asarray(x, dtype=float)) + self.eta)
 
+    def _base(self, x):
+        return _logistic(2 * self.a, self.eta, x)
+
     def potential(self, x):
         s = self._s(x)
         return -4.0 * self.V0 * self.eta * s * (1.0 - self.eta * s)
@@ -738,7 +762,8 @@ class PoschlTeller:
         # |dx/ds| = 1/(2a s (1 - eta s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
                              s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
-                             jacobian=(0.5 / self.a, -1.0, -1.0))
+                             jacobian=(0.5 / self.a, -1.0, -1.0),
+                             base_of_x=self._base)
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -1048,8 +1073,9 @@ def _prefactor_peak(pc: ParametricCoefficients,
 
 def _unnormalized_psi(pc: ParametricCoefficients,
                       constants: JacobiBranchConstants | LaguerreBranchConstants,
-                      n: int, s: np.ndarray) -> np.ndarray:
-    """psi at s, divided by the peak value of its prefactor."""
+                      n: int, s: np.ndarray, base: np.ndarray | None) -> np.ndarray:
+    """psi at s, divided by the peak value of its prefactor; ``base`` is
+    1 + c3 s on the Jacobi branch (unused on the Laguerre branch)."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     s_star, _ = _prefactor_peak(pc, constants)
@@ -1068,7 +1094,6 @@ def _unnormalized_psi(pc: ParametricCoefficients,
             out[s == 0.0] = float(laguerre_eval(n, k, 0.0))
     else:
         q, p = constants.q0, constants.p0
-        base = 1.0 + pc.c3 * s
         z = 1.0 + 2.0 * pc.c3 * s
         pos = (s > 0) & (base > 0)
         t[pos] = -p * np.log(base[pos] / (1.0 + pc.c3 * s_star))
@@ -1137,9 +1162,11 @@ def wavefunction(state: BoundState, x):
     lo, hi = state.cmap.x_domain
     if np.any(x_arr < lo) or np.any(x_arr > hi):
         raise OutOfDomain(f"coordinate outside domain [{lo}, {hi}]")
-    s = np.asarray(state.cmap.s_of_x(x_arr), dtype=float)
+    cmap = state.cmap
+    s = np.asarray(cmap.s_of_x(x_arr), dtype=float)
+    base = None if cmap.base_of_x is None else cmap.base_of_x(x_arr)
     psi = state.norm_constant * _unnormalized_psi(state.coefficients, state.constants,
-                                                  state.n, s)
+                                                  state.n, s, base)
     return float(psi[0]) if scalar else psi
 
 

@@ -148,6 +148,50 @@ def test_heavy_morse_state_is_normalized():
     assert abs(simpson_integrate(psis[0] * psis[2], x[1] - x[0])) < 1e-10
 
 
+# the far-left tail of the Jacobi families: 1 + c3 s = 1 - eta s from s(x)
+# cancels to rounding once e^(2ax) drops below about 1e-16 eta
+WEAK_JACOBI_CASES = [
+    # bound by 0.0127: psi^2 decays as e^(0.32 x) on the left
+    (DeformedRosenMorse(1.0, 10.0, 1.0, 1.0), 1),
+    # bound by 0.0074 below the left asymptote -V1
+    (WoodsSaxon(1.0, 4.5, 1.0), 1),
+]
+
+
+@pytest.mark.parametrize("spec, n", WEAK_JACOBI_CASES,
+                         ids=[s.family for s, _ in WEAK_JACOBI_CASES])
+def test_weakly_bound_jacobi_level_keeps_its_left_tail(spec, n):
+    state = spectrum(spec, 0, UNITS, n_max=n)[n]
+    x = np.linspace(-200.0, 200.0, 400_001)
+    psi = wavefunction(state, x)
+    assert abs(simpson_integrate(psi * psi, x[1] - x[0]) - 1.0) < 1e-8
+    # pointwise, deep in the tail, against mpmath at 30 digits
+    x0 = float(x[int(np.argmax(np.abs(psi)))])
+    with mpmath.workdps(30):
+        scale = wavefunction(state, x0) / _mp_psi(state, mpmath.mpf(x0))
+        for x_far in (-30.0, -60.0, -120.0):
+            expected = float(scale * _mp_psi(state, mpmath.mpf(x_far)))
+            assert wavefunction(state, x_far) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", [DeformedRosenMorse(4.0, 8.0, 0.5, 2.0),
+                                  WoodsSaxon(5.0, 10.0, 0.25),
+                                  PoschlTeller(10.0, 2.0, 0.5)],
+                         ids=lambda s: s.family)
+def test_coordinate_map_base_is_cancellation_free(spec):
+    _, cmap = to_parametric(spec, 0, UNITS)
+    x = np.array([-400.0, -100.0, -20.0, -1.0, 0.0, 1.0, 20.0, 400.0])
+    base = cmap.base_of_x(x)
+    with mpmath.workdps(30):
+        expected = [float(_mp_s_and_base(spec, mpmath.mpf(v))[1]) for v in x]
+    np.testing.assert_allclose(base, expected, rtol=1e-14, atol=0.0)
+
+
+def test_laguerre_maps_carry_no_base():
+    for spec in (GeneralizedMorse(100.0, 20.0, 1.0), Coulomb(1.0), Pseudoharmonic(2.0, 1.0)):
+        assert to_parametric(spec, 0, UNITS)[1].base_of_x is None
+
+
 # --------------------------------------------------- Jacobian certificates
 
 _x = sp.Symbol("x", real=True)

@@ -1,0 +1,339 @@
+"""The array residual and the vectorized scan against their scalar
+definitions.
+
+``quantization_residuals`` evaluates the termination residual at many
+energies in one numpy call, and ``solve_energy`` scans with it.  The scan
+must find the bracket the scalar loop below finds (the scan as it was
+before it was vectorized), so every energy stays bit-identical; only the
+bisection still calls the scalar ``quantization_residual``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specbound import (
+    Coulomb,
+    DeformedRosenMorse,
+    EnergyDependentForm,
+    GeneralizedMorse,
+    KratzerFues,
+    Mie,
+    NegativeDiscriminant,
+    NoBoundState,
+    NoncentralRadial,
+    ParametricCoefficients,
+    PoschlTeller,
+    Pseudoharmonic,
+    RootChoice,
+    UnitsConfig,
+    WoodsSaxon,
+    quantization_residual,
+    quantization_residuals,
+    solve_energy,
+    spectrum,
+    to_parametric,
+)
+from specbound import parametric
+
+UNITS = UnitsConfig()
+SCAN_POINTS = parametric.DEFAULT_SCAN_POINTS
+#: scalar residual calls allowed per solved level: bisection only
+SCALAR_CALLS_PER_LEVEL = 64
+
+# the desk parameter sets of the acceptance suite
+DESK_CASES = [
+    GeneralizedMorse(V1=100.0, V2=20.0, a=1.0),
+    Mie(V0=5.0, a=1.0),
+    KratzerFues(De=10.0, re=1.0),
+    Coulomb(e2=1.0),
+    Pseudoharmonic(V0=2.0, r0=1.0),
+    NoncentralRadial(alpha=-1.0, lam=0.0),
+    DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0),
+    WoodsSaxon(V1=5.0, V2=10.0, a=1.0),
+    PoschlTeller(V0=10.0, a=1.0, eta=1.0),
+]
+
+
+def _desk_ls(spec):
+    if spec.radial and not isinstance(spec, NoncentralRadial):
+        return (0, 1, 2)
+    return (0,)
+
+
+def _scalar_or_nan(form, n, energy, rc):
+    try:
+        value = quantization_residual(form, n, energy, rc)
+    except NegativeDiscriminant:
+        return math.nan
+    return math.nan if math.isinf(value) else value
+
+
+def reference_scan(form, n, rc, lo, hi, scan_points):
+    """The scalar scan: sign-change brackets (a, b, fa, fb) in order."""
+    prev_e = prev_f = None
+    for i in range(scan_points):
+        e = lo + (hi - lo) * (i + 0.5) / scan_points
+        f = _scalar_or_nan(form, n, e, rc)
+        if math.isnan(f):
+            prev_e = prev_f = None
+            continue
+        if f == 0.0:
+            yield (e, e, f, f)
+        elif prev_f is not None and (prev_f < 0) != (f < 0):
+            yield (prev_e, e, prev_f, f)
+        prev_e, prev_f = e, f
+
+
+def reference_solve(form, n, rc, above=None):
+    """solve_energy with the scalar scan; returns (energy, scan windows)."""
+    lo, hi = form.energy_window
+    if above is not None:
+        lo = max(lo, above)
+    if math.isinf(hi):
+        windows = [(lo, lo + max(1.0, abs(lo)) * 2.0**k) for k in range(64)]
+    else:
+        windows = [(lo, hi)]
+    for a_lo, a_hi in windows:
+        for a, b, fa, fb in reference_scan(form, n, rc, a_lo, a_hi, SCAN_POINTS):
+            if a == b:
+                return a, windows
+            return parametric._bisect(form, n, rc, a, b, fa, fb), windows
+    return None, windows
+
+
+def _assert_bit_equal(x, y):
+    assert type(x) is type(y) is float
+    assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _check_against_reference(form, n, rc, above=None):
+    expected, windows = reference_solve(form, n, rc, above)
+    for lo, hi in windows:
+        ref = next(reference_scan(form, n, rc, lo, hi, SCAN_POINTS), None)
+        assert parametric._first_bracket(form, n, rc, lo, hi, SCAN_POINTS) == ref
+        if ref is not None:
+            break
+    if expected is None:
+        with pytest.raises(NoBoundState):
+            solve_energy(form, n, rc, above=above)
+        return None
+    got = solve_energy(form, n, rc, above=above)
+    _assert_bit_equal(got, expected)
+    return got
+
+
+# --------------------------------------------------------------------------
+# array residual == scalar residual
+# --------------------------------------------------------------------------
+
+POSITIVE = st.floats(min_value=0.05, max_value=200.0)
+RATE = st.floats(min_value=0.1, max_value=5.0)
+SPECS = st.one_of(
+    st.builds(GeneralizedMorse, V1=POSITIVE, V2=POSITIVE, a=RATE),
+    st.builds(Mie, V0=POSITIVE, a=RATE),
+    st.builds(KratzerFues, De=POSITIVE, re=RATE),
+    st.builds(Coulomb, e2=POSITIVE),
+    st.builds(Pseudoharmonic, V0=POSITIVE, r0=RATE),
+    st.builds(NoncentralRadial, alpha=st.floats(min_value=-200.0, max_value=-0.05),
+              lam=st.floats(min_value=0.0, max_value=200.0)),
+    st.builds(DeformedRosenMorse, V1=st.floats(min_value=0.0, max_value=200.0),
+              V2=POSITIVE, a=RATE, eta=RATE),
+    st.builds(WoodsSaxon, V1=st.floats(min_value=0.0, max_value=200.0), V2=POSITIVE,
+              a=RATE),
+    st.builds(PoschlTeller, V0=POSITIVE, a=RATE, eta=RATE),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=SPECS, data=st.data())
+def test_array_residual_is_bit_equal_to_scalar(spec, data):
+    l = data.draw(st.integers(0, 3)) if spec.radial and not isinstance(
+        spec, NoncentralRadial) else 0
+    units = UnitsConfig(hbar=data.draw(st.floats(0.3, 3.0)),
+                        mass=data.draw(st.floats(0.3, 3.0)))
+    n = data.draw(st.integers(0, 6))
+    form, _ = to_parametric(spec, l, units)
+    rc = spec.root_choice()
+    lo, hi = form.energy_window
+    width = hi - lo if math.isfinite(hi) and hi > lo else max(1.0, abs(lo))
+    # inside, at the edges of and outside the window, plus arbitrary energies
+    fractions = data.draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30))
+    energies = [lo + width * f for f in fractions] + [lo, lo + width]
+    energies += data.draw(st.lists(st.floats(-1e3, 1e3), max_size=10))
+    values = quantization_residuals(form, n, np.array(energies), rc)
+    assert values.shape == (len(energies),)
+    for energy, value in zip(energies, values):
+        try:
+            expected = quantization_residual(form, n, energy, rc)
+        except NegativeDiscriminant:
+            assert math.isnan(value)
+            continue
+        if math.isfinite(expected):
+            _assert_bit_equal(float(value), expected)
+        else:
+            assert math.isnan(value)
+
+
+def test_array_residual_marks_negative_discriminants():
+    form, _ = to_parametric(Coulomb(e2=1.0), 0, UNITS)
+    # L1 = -2E < 0 above the continuum edge: no real p root
+    values = quantization_residuals(form, 0, np.array([-0.5, 0.5]))
+    assert values[0] == quantization_residual(form, 0, -0.5)
+    assert math.isnan(values[1])
+    with pytest.raises(NegativeDiscriminant):
+        quantization_residual(form, 0, 0.5)
+    with pytest.raises(ValueError):
+        quantization_residuals(form, -1, np.array([-0.5]))
+
+
+def test_array_residual_keeps_the_boundary_case():
+    # c2 - 2 p10 = 0 at E = 0: gamma2 is 0 when its numerator vanishes
+    # too (here L2 = 0) and undefined (NaN) otherwise, as in the scalar form
+    def coeffs(l2):
+        return lambda e: ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, l2, 0.0)
+    for l2 in (0.0, 2.0):
+        form = EnergyDependentForm("laguerre", coeffs(l2), (-1.0, 0.0))
+        scalar = quantization_residual(form, 1, 0.0)
+        array = quantization_residuals(form, 1, np.array([0.0, -0.5]))
+        if math.isnan(scalar):
+            assert math.isnan(array[0])
+        else:
+            _assert_bit_equal(float(array[0]), scalar)
+        _assert_bit_equal(float(array[1]), quantization_residual(form, 1, -0.5))
+
+
+def test_array_residual_broadcasts_constant_coefficients():
+    form = EnergyDependentForm(
+        "laguerre", lambda e: ParametricCoefficients(2.0, 0.0, 0.0, 0.5, 2.0, 0.0),
+        (-1.0, 0.0))
+    values = quantization_residuals(form, 0, np.linspace(-1.0, 0.0, 5))
+    assert values.shape == (5,)
+    assert np.all(values == quantization_residual(form, 0, -0.5))
+
+
+# --------------------------------------------------------------------------
+# vectorized scan == scalar scan
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", DESK_CASES, ids=lambda s: s.family)
+def test_scan_matches_scalar_scan_on_desk_cases(spec):
+    rc = spec.root_choice()
+    for l in _desk_ls(spec):
+        form, _ = to_parametric(spec, l, UNITS)
+        walked, floor = [], None
+        for n in range(4):
+            # the floor above the previous level, as spectrum sets it
+            energy = _check_against_reference(form, n, rc, above=floor)
+            if energy is None:
+                break
+            walked.append(energy)
+            floor = energy + 1e-11 * max(abs(energy), 1.0)
+        assert walked
+        assert [s.energy for s in spectrum(spec, l, UNITS, 3)] == walked
+
+
+def _nan_stretch_form():
+    # the q discriminant 4 (E + 1/2)^2 - 0.3 is negative for |E + 1/2| < 0.274,
+    # a NaN stretch inside the window; for n = 1 the residual is negative
+    # below it and positive above it, and that sign change is its only one
+    def coeff_at(e):
+        return ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, 3.0,
+                                      4.0 * (e + 0.5) * (e + 0.5) - 0.55)
+    return EnergyDependentForm("laguerre", coeff_at, (-2.0, -0.01))
+
+
+def test_scan_matches_scalar_scan_across_a_nan_stretch():
+    form = _nan_stretch_form()
+    rc = RootChoice()
+    energies = np.linspace(-2.0, -0.01, 400)
+    values = quantization_residuals(form, 1, energies)
+    stretch = np.flatnonzero(np.isnan(values))
+    assert stretch.size > 0 and 0 < stretch[0] and stretch[-1] < energies.size - 1
+    assert values[stretch[0] - 1] < 0 < values[stretch[-1] + 1]
+    assert _check_against_reference(form, 0, rc) < energies[stretch[0]]
+    # no bracket may span the stretch: n = 1 has no root on either scan
+    assert parametric._first_bracket(form, 1, rc, -2.0, -0.01, SCAN_POINTS) is None
+    assert _check_against_reference(form, 1, rc) is None
+    assert _check_against_reference(form, 2, rc) > energies[stretch[-1]]
+
+
+def test_scan_expands_unbounded_window_like_scalar_scan():
+    spec = Pseudoharmonic(V0=2.0, r0=1.0)
+    form, _ = to_parametric(spec, 0, UNITS)
+    rc = spec.root_choice()
+    for n in range(4):
+        energy, windows = reference_solve(form, n, rc)
+        # n = 3 lies near 18: the scan edge doubles from 1 five times
+        assert energy is not None and energy > windows[0][1]
+        _check_against_reference(form, n, rc)
+    # an exhausted Morse well: no bracket at all, on both scans
+    morse = GeneralizedMorse(V1=100.0, V2=20.0, a=1.0)
+    form, _ = to_parametric(morse, 0, UNITS)
+    assert _check_against_reference(form, 1, morse.root_choice()) is None
+
+
+def _gamma2_form(residual, window):
+    # c1 = 2, L1 = 1, L3 = 0 give q10 = 0 and p10 = 1, so the n = 0
+    # residual is gamma2 = L2/2 - 1 = residual(E) with L2 = 2 residual(E) + 2
+    return EnergyDependentForm(
+        "laguerre",
+        lambda e: ParametricCoefficients(2.0, 0.0, 0.0, 1.0, 2.0 * residual(e) + 2.0, 0.0),
+        window)
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_scan_returns_an_exact_zero_as_the_root(slope):
+    # the residual vanishes exactly at the sixth of eight scan points, with
+    # either sign just before it
+    lo, hi, points = -1.0, 1.0, 8
+    exact = lo + (hi - lo) * (5 + 0.5) / points
+    form = _gamma2_form(lambda e: slope * (e - exact), (lo, hi))
+    bracket = parametric._first_bracket(form, 0, RootChoice(), lo, hi, points)
+    assert bracket == next(reference_scan(form, 0, RootChoice(), lo, hi, points))
+    assert bracket[0] == bracket[1] == exact
+    assert solve_energy(form, 0, scan_points=points) == exact
+
+
+def test_scan_takes_the_first_of_several_sign_changes():
+    form = _gamma2_form(lambda e: (e - 0.2) * (e + 0.3), (-1.0, 1.0))
+    assert len(list(reference_scan(form, 0, RootChoice(), -1.0, 1.0, SCAN_POINTS))) == 2
+    assert _check_against_reference(form, 0, RootChoice()) == pytest.approx(-0.3, abs=1e-14)
+
+
+def test_array_residual_maps_infinities_to_nan():
+    # gamma2 = (2 p10 - L2)/(-2 p10) overflows to -inf for L2 near -DBL_MAX
+    form = EnergyDependentForm(
+        "laguerre", lambda e: ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, -1.7e308, 0.0),
+        (-1.0, 0.0))
+    assert quantization_residual(form, 0, -0.005) == -math.inf
+    values = quantization_residuals(form, 0, np.array([-0.005, -0.5]))
+    assert math.isnan(values[0])
+    _assert_bit_equal(float(values[1]), quantization_residual(form, 0, -0.5))
+
+
+# --------------------------------------------------------------------------
+# work count: scalar residual calls are bisection only
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", DESK_CASES, ids=lambda s: s.family)
+def test_spectrum_scalar_residual_budget(spec, monkeypatch):
+    calls = []
+    scalar = parametric.quantization_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(parametric, "quantization_residual", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        states = spectrum(spec, 0, UNITS, 3)
+        counts.append(len(calls))
+    assert states
+    assert counts[0] == counts[1]
+    assert counts[0] <= SCALAR_CALLS_PER_LEVEL * len(states)
