@@ -238,3 +238,106 @@ def test_declared_jacobian_is_measure_times_dx_ds(spec, s_of, var, measure):
         assert float(cmap.s_of_x(value)) == pytest.approx(point, rel=1e-14)
         assert float(cmap.measure(value)) == pytest.approx(
             float(sp.sympify(measure).subs(var, value)), rel=1e-14)
+
+
+# ------------------------------------------------ coefficient certificates
+
+_s = sp.Symbol("s", positive=True)
+
+
+def _rosen_morse_v(p, x):
+    e = _exact(p.eta) * sp.exp(-2 * _exact(p.a) * x)
+    return _exact(p.V1) / (1 + e) - _exact(p.V2) * e / (1 + e) ** 2
+
+
+def _woods_saxon_v(p, x):
+    e = sp.exp(_exact(p.a) * x)
+    return -_exact(p.V1) / (1 + e) - _exact(p.V2) * e / (1 + e) ** 2
+
+
+def _poschl_teller_v(p, x):
+    e = _exact(p.eta) * sp.exp(-2 * _exact(p.a) * x)
+    return -4 * _exact(p.V0) * e / (1 + e) ** 2
+
+
+def _jacobi_x_of_s(p):
+    # inverse of s = 1/(e^(2ax) + eta)
+    return sp.log(1 / _s - _exact(p.eta)) / (2 * _exact(p.a))
+
+
+# (spec, x(s), V(x)): the inverse substitution and the potential as printed
+# in each family's docstring
+COEFFICIENT_CASES = [
+    (GeneralizedMorse(100.0, 20.0, 0.5),
+     lambda p: -sp.log(_s / sp.sqrt(_exact(p.V1))) / _exact(p.a),
+     lambda p, x: (_exact(p.V1) * sp.exp(-2 * _exact(p.a) * x)
+                   - _exact(p.V2) * sp.exp(-_exact(p.a) * x))),
+    (Mie(5.0, 1.5), lambda p: _s,
+     lambda p, r: _exact(p.V0) * ((_exact(p.a) / r) ** 2 / 2 - _exact(p.a) / r)),
+    (KratzerFues(10.0, 1.5), lambda p: _s,
+     lambda p, r: _exact(p.De) * ((r - _exact(p.re)) / r) ** 2),
+    (Coulomb(1.25), lambda p: _s, lambda p, r: -_exact(p.e2) / r),
+    (Pseudoharmonic(2.0, 1.5), lambda p: sp.sqrt(_s),
+     lambda p, r: _exact(p.V0) * (r / _exact(p.r0) - _exact(p.r0) / r) ** 2),
+    (NoncentralRadial(-1.0, 0.75), lambda p: _s, lambda p, r: _exact(p.alpha) / r),
+    (DeformedRosenMorse(4.0, 8.0, 0.5, 2.0), _jacobi_x_of_s, _rosen_morse_v),
+    (WoodsSaxon(5.0, 10.0, 0.25),
+     lambda p: sp.log(1 / _s - 1) / _exact(p.a), _woods_saxon_v),
+    (PoschlTeller(10.0, 2.0, 0.5), _jacobi_x_of_s, _poschl_teller_v),
+]
+
+
+def _barrier(spec, l, hbar, mass, r):
+    """The r^-2 part of V_eff: the separation term of the noncentral
+    family, the centrifugal barrier of the other radial families."""
+    if isinstance(spec, NoncentralRadial):
+        return _exact(spec.lam) / r**2
+    if spec.radial:
+        return hbar**2 * l * (l + 1) / (2 * mass * r**2)
+    return 0
+
+
+def _polynomial_coefficients(expr, degree):
+    """Coefficients of s^0 .. s^degree; fails unless expr is a polynomial in
+    s of at most that degree."""
+    poly = sp.Poly(sp.cancel(expr), _s)
+    assert poly.degree() <= degree, poly
+    coeffs = [float(c) for c in reversed(poly.all_coeffs())]
+    return coeffs + [0.0] * (degree + 1 - len(coeffs))
+
+
+@pytest.mark.parametrize("hbar, mass, l, energy",
+                         [("1", "1", 0, "-3/10"), ("7/10", "5/2", 2, "13/10")],
+                         ids=["unit", "scaled"])
+@pytest.mark.parametrize("spec, x_of, v_of", COEFFICIENT_CASES,
+                         ids=[c[0].family for c in COEFFICIENT_CASES])
+def test_declared_coefficients_follow_from_the_schrodinger_equation(
+        spec, x_of, v_of, hbar, mass, l, energy):
+    """Substituting x(s) into psi'' + (2/r) psi' [radial only] + k^2 (E - V_eff) psi
+    = 0, with k^2 = 2m/hbar^2, and clearing s (1 + c3 s) from the psi'
+    coefficient and its square from the psi coefficient must give exactly
+    c1 + c2 s and -L1 s^2 + L2 s - L3 of the declared form."""
+    if not spec.radial or isinstance(spec, NoncentralRadial):
+        l = 0
+    hbar, mass, energy = sp.Rational(hbar), sp.Rational(mass), sp.Rational(energy)
+    form, cmap = to_parametric(spec, l, UnitsConfig(float(hbar), float(mass)))
+    pc = form.coeff_at(float(energy))
+    x = x_of(spec)
+    # the symbolic map inverts the package's s(x), and V is the package's V
+    for x0 in (0.3, 1.7):
+        s0 = float(cmap.s_of_x(x0))
+        assert float(x.subs(_s, s0)) == pytest.approx(x0, rel=1e-13)
+        assert float(v_of(spec, sp.Float(x0, 30))) == pytest.approx(
+            float(spec.potential(x0)), rel=1e-13)
+
+    x_s = sp.diff(x, _s)
+    friction = 2 / x if spec.radial else 0
+    q = 2 * mass / hbar**2 * (energy - v_of(spec, x) - _barrier(spec, l, hbar, mass, x))
+    w = _s * (1 + _exact(pc.c3) * _s)
+    # psi_xx = psi_ss / x_s^2 - psi_s x_ss / x_s^3, so dividing the equation
+    # by 1/x_s^2 leaves psi_ss + (friction x_s - x_ss / x_s) psi_s + q x_s^2 psi
+    first = _polynomial_coefficients((friction * x_s - sp.diff(x_s, _s) / x_s) * w, 1)
+    zeroth = _polynomial_coefficients(q * x_s**2 * w**2, 2)
+    assert first == pytest.approx([pc.c1, pc.c2], rel=1e-13, abs=1e-13)
+    assert zeroth == pytest.approx([-pc.lambda3, pc.lambda2, -pc.lambda1],
+                                   rel=1e-13, abs=1e-13)
