@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, Union
 
 import numpy as np
@@ -130,20 +131,79 @@ def _logistic(k: float, eta: float, x):
         return 1.0 / (1.0 + eta * np.exp(-k * np.asarray(x, dtype=float)))
 
 
-def _identity_radial_map() -> CoordinateMap:
-    """s = r with the r^2 measure: the Mie, Kratzer-Fues, Coulomb and
-    noncentral substitution."""
-    return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                         x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                         measure=_radial_measure, jacobian=(1.0, 2.0, 0.0))
+#: s = r with the r^2 measure: the Mie, Kratzer-Fues, Coulomb and
+#: noncentral substitution
+_IDENTITY_RADIAL_MAP = CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
+                                     x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
+                                     measure=_radial_measure, jacobian=(1.0, 2.0, 0.0))
 
 
 # --------------------------------------------------------------------------
-# family definitions
+# family definitions: three shared bodies, then the nine families
 # --------------------------------------------------------------------------
+
+class _Family:
+    """Root choice and energy-dependent form of every family, the form built
+    from the family's ``_coeff_at(l, units)`` and ``energy_window(l, units)``."""
+
+    #: the + q root keeps psi finite at s -> 0; + p suits every Laguerre family
+    _roots: ClassVar[RootChoice] = RootChoice()
+
+    def root_choice(self) -> RootChoice:
+        return self._roots
+
+    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+        return EnergyDependentForm(branch=self.branch, coeff_at=self._coeff_at(l, units),
+                                   energy_window=self.energy_window(l, units))
+
+
+class _Well(_Family):
+    """One-dimensional well on the full line: levels lie between the
+    minimum of V and the lower of its two asymptotes."""
+
+    radial: ClassVar[bool] = False
+
+    def asymptote(self) -> float:
+        return min(self.asymptote_sides())
+
+    def energy_window(self, l, units) -> tuple[float, float]:
+        top = self.asymptote()
+        try:
+            return (_well_minimum(self)[1], top)
+        except WindowDegenerate:
+            return (top, top)
+
+
+class _InversePower(_Family):
+    """V_eff = C - A/r + B/r^2 in s = r, c1 = 2: a family supplies
+    ``_c_lam23(l, units)`` = (C, L2, L3), with the barrier B in L3.  Levels are
+    E_n = C - (hbar^2/2m) (L2/d)^2 with d = 2n + 1 + sqrt(1 + 4 L3)."""
+
+    radial: ClassVar[bool] = True
+    branch: ClassVar[str] = LAGUERRE
+
+    def coordinate_map(self, l, units) -> CoordinateMap:
+        return _IDENTITY_RADIAL_MAP
+
+    def _coeff_at(self, l, units):
+        c, lam2, lam3 = self._c_lam23(l, units)
+        two_m = 2 * units.mass / units.hbar**2
+
+        def coeff_at(energy: float) -> ParametricCoefficients:
+            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
+                                          lambda1=-two_m * (energy - c),
+                                          lambda2=lam2, lambda3=lam3)
+
+        return coeff_at
+
+    def closed_form(self, n: int, l, units: UnitsConfig) -> float:
+        c, lam2, lam3 = self._c_lam23(l, units)
+        d = 2 * n + 1 + math.sqrt(1 + 4 * lam3)
+        return c - (units.hbar**2 / (2 * units.mass)) * (lam2 / d) ** 2
+
 
 @dataclass(frozen=True)
-class GeneralizedMorse:
+class GeneralizedMorse(_Well):
     """V(x) = V1 exp(-2 a x) - V2 exp(-a x) on the full line."""
 
     V1: float
@@ -152,7 +212,6 @@ class GeneralizedMorse:
 
     family: ClassVar[str] = "morse"
     label: ClassVar[str] = "Generalized Morse"
-    radial: ClassVar[bool] = False
     branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy", "a": "1/length"}
 
@@ -166,20 +225,13 @@ class GeneralizedMorse:
     def potential(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            v = self.V1 * np.exp(-2 * self.a * x) - self.V2 * np.exp(-self.a * x)
-        return v
-
-    def asymptote(self) -> float:
-        return 0.0
+            return self.V1 * np.exp(-2 * self.a * x) - self.V2 * np.exp(-self.a * x)
 
     def asymptote_sides(self) -> tuple[float, float]:
         return (math.inf, 0.0)
 
     def well_center(self) -> float:
         return math.log(2 * self.V1 / self.V2) / self.a
-
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         root_v1, a = math.sqrt(self.V1), self.a
@@ -192,22 +244,16 @@ class GeneralizedMorse:
                              s_domain=(0.0, math.inf), measure=_flat_measure,
                              jacobian=(1.0 / a, -1.0, 0.0))
 
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+    def _coeff_at(self, l, units):
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
-        lam1 = b
         lam2 = b * self.V2 / math.sqrt(self.V1)
 
         def coeff_at(energy: float) -> ParametricCoefficients:
             return ParametricCoefficients(c1=1.0, c2=0.0, c3=0.0,
-                                          lambda1=lam1, lambda2=lam2,
+                                          lambda1=b, lambda2=lam2,
                                           lambda3=-b * energy)
 
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
-
-    def energy_window(self, l, units) -> tuple[float, float]:
-        v_min = _well_minimum(self)[1]
-        return (v_min, 0.0)
+        return coeff_at
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         # level exists while the decay exponent 2 eps = w - (2n + 1) stays positive
@@ -219,7 +265,7 @@ class GeneralizedMorse:
 
 
 @dataclass(frozen=True)
-class Mie:
+class Mie(_InversePower):
     """V(r) = V0 [ (a/r)^2 / 2 - a/r ]."""
 
     V0: float
@@ -227,8 +273,6 @@ class Mie:
 
     family: ClassVar[str] = "mie"
     label: ClassVar[str] = "Mie"
-    radial: ClassVar[bool] = True
-    branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"V0": "energy", "a": "length"}
 
     def __post_init__(self):
@@ -243,40 +287,17 @@ class Mie:
     def asymptote(self) -> float:
         return 0.0
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        return _identity_radial_map()
-
-    def _lam23(self, l, units):
+    def _c_lam23(self, l, units):
         lam2 = 2 * units.mass * self.a * self.V0 / units.hbar**2
         lam3 = units.mass * self.a**2 * self.V0 / units.hbar**2 + l * (l + 1)
-        return lam2, lam3
-
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
-        lam2, lam3 = self._lam23(l, units)
-        two_m = 2 * units.mass / units.hbar**2
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
-                                          lambda1=-two_m * energy,
-                                          lambda2=lam2, lambda3=lam3)
-
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
+        return 0.0, lam2, lam3
 
     def energy_window(self, l, units) -> tuple[float, float]:
         return (-self.V0 / 2.0, 0.0)
 
-    def closed_form(self, n: int, l, units: UnitsConfig) -> float:
-        lam2, lam3 = self._lam23(l, units)
-        d = 2 * n + 1 + math.sqrt(1 + 4 * lam3)
-        return -(units.hbar**2 / (2 * units.mass)) * (lam2 / d) ** 2
-
 
 @dataclass(frozen=True)
-class KratzerFues:
+class KratzerFues(_InversePower):
     """V(r) = De ((r - re)/r)^2, a well of depth De with minimum at re."""
 
     De: float
@@ -284,8 +305,6 @@ class KratzerFues:
 
     family: ClassVar[str] = "kratzer_fues"
     label: ClassVar[str] = "Kratzer-Fues"
-    radial: ClassVar[bool] = True
-    branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"De": "energy", "re": "length"}
 
     def __post_init__(self):
@@ -300,49 +319,24 @@ class KratzerFues:
     def asymptote(self) -> float:
         return self.De
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        return _identity_radial_map()
-
-    def _lam23(self, l, units):
+    def _c_lam23(self, l, units):
         lam2 = 4 * units.mass * self.De * self.re / units.hbar**2
         lam3 = 2 * units.mass * self.De * self.re**2 / units.hbar**2 + l * (l + 1)
-        return lam2, lam3
-
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
-        lam2, lam3 = self._lam23(l, units)
-        two_m = 2 * units.mass / units.hbar**2
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
-                                          lambda1=two_m * (self.De - energy),
-                                          lambda2=lam2, lambda3=lam3)
-
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
+        return self.De, lam2, lam3
 
     def energy_window(self, l, units) -> tuple[float, float]:
         # V >= 0 everywhere, levels accumulate below the dissociation value De
         return (0.0, self.De)
 
-    def closed_form(self, n: int, l, units: UnitsConfig) -> float:
-        lam2, lam3 = self._lam23(l, units)
-        d = 2 * n + 1 + math.sqrt(1 + 4 * lam3)
-        return self.De - (units.hbar**2 / (2 * units.mass)) * (lam2 / d) ** 2
-
 
 @dataclass(frozen=True)
-class Coulomb:
+class Coulomb(_InversePower):
     """V(r) = -e2 / r."""
 
     e2: float
 
     family: ClassVar[str] = "coulomb"
     label: ClassVar[str] = "Coulomb"
-    radial: ClassVar[bool] = True
-    branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"e2": "energy*length"}
 
     def __post_init__(self):
@@ -357,24 +351,8 @@ class Coulomb:
     def asymptote(self) -> float:
         return 0.0
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        return _identity_radial_map()
-
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
-        lam2 = 2 * units.mass * self.e2 / units.hbar**2
-        lam3 = float(l * (l + 1))
-        two_m = 2 * units.mass / units.hbar**2
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
-                                          lambda1=-two_m * energy,
-                                          lambda2=lam2, lambda3=lam3)
-
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
+    def _c_lam23(self, l, units):
+        return 0.0, 2 * units.mass * self.e2 / units.hbar**2, float(l * (l + 1))
 
     def energy_window(self, l, units) -> tuple[float, float]:
         # the potential has no finite minimum at l = 0: floor the window at
@@ -388,7 +366,7 @@ class Coulomb:
 
 
 @dataclass(frozen=True)
-class Pseudoharmonic:
+class Pseudoharmonic(_Family):
     """V(r) = V0 (r/r0 - r0/r)^2, confining on both sides of r0."""
 
     V0: float
@@ -412,9 +390,6 @@ class Pseudoharmonic:
     def asymptote(self) -> float:
         return math.inf
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
-
     def coordinate_map(self, l, units) -> CoordinateMap:
         def s_of_x(r):
             return np.asarray(r, dtype=float) ** 2
@@ -429,7 +404,7 @@ class Pseudoharmonic:
         lam3 = units.mass * self.V0 * self.r0**2 / (2 * units.hbar**2) + l * (l + 1) / 4.0
         return lam1, lam3
 
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+    def _coeff_at(self, l, units):
         lam1, lam3 = self._lams(l, units)
         half_m = units.mass / (2 * units.hbar**2)
 
@@ -439,8 +414,7 @@ class Pseudoharmonic:
                                           lambda2=half_m * (energy + 2 * self.V0),
                                           lambda3=lam3)
 
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
+        return coeff_at
 
     def energy_window(self, l, units) -> tuple[float, float]:
         # V >= 0 and confining: the spectrum is unbounded above
@@ -453,7 +427,7 @@ class Pseudoharmonic:
 
 
 @dataclass(frozen=True)
-class NoncentralRadial:
+class NoncentralRadial(_InversePower):
     """Radial equation of the noncentral family: V(r) = alpha/r plus the
     angular separation constant lam acting as an r^-2 barrier.
 
@@ -466,8 +440,6 @@ class NoncentralRadial:
 
     family: ClassVar[str] = "noncentral_radial"
     label: ClassVar[str] = "Noncentral (radial part)"
-    radial: ClassVar[bool] = True
-    branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"alpha": "energy*length", "lambda": "energy*length^2"}
 
     def __post_init__(self):
@@ -487,38 +459,18 @@ class NoncentralRadial:
     def asymptote(self) -> float:
         return 0.0
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice()
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        return _identity_radial_map()
-
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+    def _c_lam23(self, l, units):
         lam2 = -2 * units.mass * self.alpha / units.hbar**2
         lam3 = 2 * units.mass * self.lam / units.hbar**2
-        two_m = 2 * units.mass / units.hbar**2
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
-                                          lambda1=-two_m * energy,
-                                          lambda2=lam2, lambda3=lam3)
-
-        return EnergyDependentForm(branch=LAGUERRE, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
+        return 0.0, lam2, lam3
 
     def energy_window(self, l, units) -> tuple[float, float]:
         ground = units.mass * self.alpha**2 / (2 * units.hbar**2)
         return (-4.0 * ground, 0.0)
 
-    def closed_form(self, n: int, l, units: UnitsConfig) -> float:
-        lam2 = -2 * units.mass * self.alpha / units.hbar**2
-        lam3 = 2 * units.mass * self.lam / units.hbar**2
-        d = 2 * n + 1 + math.sqrt(1 + 4 * lam3)
-        return -(units.hbar**2 / (2 * units.mass)) * (lam2 / d) ** 2
-
 
 @dataclass(frozen=True)
-class DeformedRosenMorse:
+class DeformedRosenMorse(_Well):
     """V(x) = V1/(1 + eta e^(-2ax)) - V2 eta e^(-2ax)/(1 + eta e^(-2ax))^2.
 
     Asymmetric step of height V1 (right asymptote) with an attractive
@@ -533,10 +485,11 @@ class DeformedRosenMorse:
 
     family: ClassVar[str] = "rosen_morse"
     label: ClassVar[str] = "Deformed Rosen-Morse"
-    radial: ClassVar[bool] = False
     branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy",
                                    "a": "1/length", "eta": "dimensionless"}
+    # decay toward x -> -infinity needs the negative p root
+    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -560,9 +513,6 @@ class DeformedRosenMorse:
         one_minus = 1.0 - self.eta * s
         return self.V1 * one_minus - self.V2 * self.eta * s * one_minus
 
-    def asymptote(self) -> float:
-        return min(0.0, self.V1)
-
     def asymptote_sides(self) -> tuple[float, float]:
         return (0.0, self.V1)
 
@@ -571,10 +521,6 @@ class DeformedRosenMorse:
         if not 0 < s_star < 1.0 / self.eta:
             raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
         return math.log(1.0 / s_star - self.eta) / (2 * self.a)
-
-    def root_choice(self) -> RootChoice:
-        # decay toward x -> -infinity needs the negative p root
-        return RootChoice(q_sign=+1, p_sign=-1)
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         # |dx/ds| = 1/(2a s (1 - eta s))
@@ -589,7 +535,7 @@ class DeformedRosenMorse:
         gamma = c * self.V2 * self.eta
         return c, kappa, gamma
 
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+    def _coeff_at(self, l, units):
         c, kappa, gamma = self._scaled(units)
         eta = self.eta
 
@@ -599,15 +545,7 @@ class DeformedRosenMorse:
                                           lambda2=kappa * eta + gamma,
                                           lambda3=c * (self.V1 - energy))
 
-        return EnergyDependentForm(branch=JACOBI, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
-
-    def energy_window(self, l, units) -> tuple[float, float]:
-        try:
-            v_min = _well_minimum(self)[1]
-        except WindowDegenerate:
-            return (0.0, 0.0)
-        return (v_min, 0.0)
+        return coeff_at
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         c, kappa, gamma = self._scaled(units)
@@ -620,7 +558,7 @@ class DeformedRosenMorse:
 
 
 @dataclass(frozen=True)
-class WoodsSaxon:
+class WoodsSaxon(_Well):
     """V(x) = -V1/(1 + e^(ax)) - V2 e^(ax)/(1 + e^(ax))^2 on the full line.
 
     Left asymptote -V1, right asymptote 0; bound states live below -V1 and
@@ -633,9 +571,9 @@ class WoodsSaxon:
 
     family: ClassVar[str] = "woods_saxon"
     label: ClassVar[str] = "Generalized Woods-Saxon"
-    radial: ClassVar[bool] = False
     branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy", "a": "1/length"}
+    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -657,9 +595,6 @@ class WoodsSaxon:
         s = self._s(x)
         return -self.V1 * s - self.V2 * s * (1.0 - s)
 
-    def asymptote(self) -> float:
-        return -self.V1
-
     def asymptote_sides(self) -> tuple[float, float]:
         return (-self.V1, 0.0)
 
@@ -669,9 +604,6 @@ class WoodsSaxon:
             raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
         return math.log(1.0 / s_star - 1.0) / self.a
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice(q_sign=+1, p_sign=-1)
-
     def coordinate_map(self, l, units) -> CoordinateMap:
         # |dx/ds| = 1/(a s (1 - s))
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
@@ -679,7 +611,7 @@ class WoodsSaxon:
                              jacobian=(1.0 / self.a, -1.0, -1.0),
                              base_of_x=self._base)
 
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
+    def _coeff_at(self, l, units):
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
         lam1 = b * self.V2
         lam2 = b * (self.V1 + self.V2)
@@ -689,15 +621,7 @@ class WoodsSaxon:
                                           lambda1=lam1, lambda2=lam2,
                                           lambda3=-b * energy)
 
-        return EnergyDependentForm(branch=JACOBI, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
-
-    def energy_window(self, l, units) -> tuple[float, float]:
-        try:
-            v_min = _well_minimum(self)[1]
-        except WindowDegenerate:
-            return (-self.V1, -self.V1)
-        return (v_min, -self.V1)
+        return coeff_at
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -712,10 +636,12 @@ class WoodsSaxon:
 
 
 @dataclass(frozen=True)
-class PoschlTeller:
+class PoschlTeller(_Well):
     """V(x) = -4 V0 eta e^(-2ax) / (1 + eta e^(-2ax))^2.
 
     For eta = 1 this is the -V0 / cosh^2(ax) well; eta > 0 only shifts it.
+    It is the Rosen-Morse well with V1 = 0 and V2 = 4 V0, which supplies V,
+    the coordinate map and the coefficients; the closed form stays its own.
     """
 
     V0: float
@@ -724,9 +650,9 @@ class PoschlTeller:
 
     family: ClassVar[str] = "poschl_teller"
     label: ClassVar[str] = "Poschl-Teller"
-    radial: ClassVar[bool] = False
     branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V0": "energy", "a": "1/length", "eta": "dimensionless"}
+    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -735,19 +661,13 @@ class PoschlTeller:
         if self.a <= 0 or self.eta <= 0:
             raise InvalidParameters("Poschl-Teller needs a > 0 and eta > 0")
 
-    def _s(self, x):
-        with np.errstate(over="ignore"):
-            return 1.0 / (np.exp(2 * self.a * np.asarray(x, dtype=float)) + self.eta)
-
-    def _base(self, x):
-        return _logistic(2 * self.a, self.eta, x)
+    @cached_property
+    def _rosen_morse(self) -> DeformedRosenMorse:
+        # built once per instance: spectrum and the oracle call V many times
+        return DeformedRosenMorse(0.0, 4 * self.V0, self.a, self.eta)
 
     def potential(self, x):
-        s = self._s(x)
-        return -4.0 * self.V0 * self.eta * s * (1.0 - self.eta * s)
-
-    def asymptote(self) -> float:
-        return 0.0
+        return self._rosen_morse.potential(x)
 
     def asymptote_sides(self) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -755,32 +675,11 @@ class PoschlTeller:
     def well_center(self) -> float:
         return math.log(self.eta) / (2 * self.a)
 
-    def root_choice(self) -> RootChoice:
-        return RootChoice(q_sign=+1, p_sign=-1)
-
     def coordinate_map(self, l, units) -> CoordinateMap:
-        # |dx/ds| = 1/(2a s (1 - eta s))
-        return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
-                             jacobian=(0.5 / self.a, -1.0, -1.0),
-                             base_of_x=self._base)
+        return self._rosen_morse.coordinate_map(l, units)
 
-    def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
-        c = units.mass / (2 * units.hbar**2 * self.a**2)
-        gamma = 4 * c * self.V0 * self.eta
-        eta = self.eta
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
-                                          lambda1=gamma * eta, lambda2=gamma,
-                                          lambda3=-c * energy)
-
-        return EnergyDependentForm(branch=JACOBI, coeff_at=coeff_at,
-                                   energy_window=self.energy_window(l, units))
-
-    def energy_window(self, l, units) -> tuple[float, float]:
-        v_min = _well_minimum(self)[1]
-        return (v_min, 0.0)
+    def _coeff_at(self, l, units):
+        return self._rosen_morse._coeff_at(l, units)
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -795,14 +694,12 @@ class PoschlTeller:
 PotentialSpec = Union[GeneralizedMorse, Mie, KratzerFues, Coulomb, Pseudoharmonic,
                       NoncentralRadial, DeformedRosenMorse, WoodsSaxon, PoschlTeller]
 
+#: the nine families in catalog order (the case numbers of `specbound list`)
 FAMILIES: dict[str, type] = {
     cls.family: cls
     for cls in (GeneralizedMorse, Mie, KratzerFues, Coulomb, Pseudoharmonic,
                 NoncentralRadial, DeformedRosenMorse, WoodsSaxon, PoschlTeller)
 }
-
-_CASE_ORDER = ["morse", "mie", "kratzer_fues", "coulomb", "pseudoharmonic",
-               "noncentral_radial", "rosen_morse", "woods_saxon", "poschl_teller"]
 
 
 @dataclass(frozen=True)
@@ -966,7 +863,7 @@ def make_potential(family: str, params: dict) -> PotentialSpec:
     try:
         cls = FAMILIES[family]
     except KeyError:
-        known = ", ".join(_CASE_ORDER)
+        known = ", ".join(FAMILIES)
         raise InvalidParameters(f"unknown potential family {family!r}; known: {known}")
     kwargs = {("lam" if key == "lambda" else key): value for key, value in params.items()}
     try:
@@ -987,8 +884,7 @@ def potential_params(spec: PotentialSpec) -> dict:
 def describe_families() -> list[dict]:
     """Descriptor rows for the nine families, in catalog order."""
     rows = []
-    for i, name in enumerate(_CASE_ORDER, start=1):
-        cls = FAMILIES[name]
+    for i, (name, cls) in enumerate(FAMILIES.items(), start=1):
         rows.append({
             "case": i,
             "family": name,
