@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,6 +64,10 @@ class RunConfig:
     grid: RadialGrid | None = None
     output_format: str = "json"
     rel_tol: float = DEFAULT_REL_TOL
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise InvalidParameters(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -250,8 +255,9 @@ def cmd_wavefunction(args, out) -> int:
     state = states[n]
     grid = config.grid or pot.default_grid(config.potential, config.l, config.units,
                                            n_max=n)
-    samples = args.samples or DEFAULT_SAMPLES
-    x = np.linspace(grid.x_min, grid.x_max, samples)
+    if args.samples < 1:
+        raise InvalidParameters(f"--samples must be >= 1, got {args.samples}")
+    x = np.linspace(grid.x_min, grid.x_max, args.samples)
     psi = pot.wavefunction(state, x)
     weighted = psi * psi * state.cmap.measure(x)
     rows = [[float(xi), float(pi), float(wi)] for xi, pi, wi in zip(x, psi, weighted)]

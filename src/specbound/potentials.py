@@ -8,6 +8,12 @@ rederived from the series-termination condition, a sensible default
 verification grid, and the Jacobian of its coordinate map, from which the
 norm of every state follows in closed form.
 
+Shared equations have one body each: ``_Family`` (root choice and
+energy-dependent form), ``_Well`` (asymptote and window of the 1-D wells)
+and ``_InversePower`` (map, coefficients and levels of C - A/r + B/r^2 for
+Mie, Kratzer-Fues, Coulomb and noncentral).  Poschl-Teller is the
+Rosen-Morse well with V1 = 0, V2 = 4 V0.
+
 Closed forms here are rederived from the termination condition, not copied
 from commonly printed variants, several of which carry transcription
 errors; see docs/typo-ledger.md.  Every formula in this module is pinned by
@@ -288,9 +294,8 @@ class Mie(_InversePower):
         return 0.0
 
     def _c_lam23(self, l, units):
-        lam2 = 2 * units.mass * self.a * self.V0 / units.hbar**2
-        lam3 = units.mass * self.a**2 * self.V0 / units.hbar**2 + l * (l + 1)
-        return 0.0, lam2, lam3
+        return (0.0, 2 * units.mass * self.a * self.V0 / units.hbar**2,
+                units.mass * self.a**2 * self.V0 / units.hbar**2 + l * (l + 1))
 
     def energy_window(self, l, units) -> tuple[float, float]:
         return (-self.V0 / 2.0, 0.0)
@@ -320,9 +325,8 @@ class KratzerFues(_InversePower):
         return self.De
 
     def _c_lam23(self, l, units):
-        lam2 = 4 * units.mass * self.De * self.re / units.hbar**2
-        lam3 = 2 * units.mass * self.De * self.re**2 / units.hbar**2 + l * (l + 1)
-        return self.De, lam2, lam3
+        return (self.De, 4 * units.mass * self.De * self.re / units.hbar**2,
+                2 * units.mass * self.De * self.re**2 / units.hbar**2 + l * (l + 1))
 
     def energy_window(self, l, units) -> tuple[float, float]:
         # V >= 0 everywhere, levels accumulate below the dissociation value De
@@ -391,13 +395,10 @@ class Pseudoharmonic(_Family):
         return math.inf
 
     def coordinate_map(self, l, units) -> CoordinateMap:
-        def s_of_x(r):
-            return np.asarray(r, dtype=float) ** 2
-
         # r^2 |dr/ds| = s / (2 sqrt(s))
-        return CoordinateMap(s_of_x=s_of_x, x_domain=(0.0, math.inf),
-                             s_domain=(0.0, math.inf), measure=_radial_measure,
-                             jacobian=(0.5, 0.5, 0.0))
+        return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float) ** 2,
+                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
+                             measure=_radial_measure, jacobian=(0.5, 0.5, 0.0))
 
     def _lams(self, l, units):
         lam1 = units.mass * self.V0 / (2 * units.hbar**2 * self.r0**2)
@@ -460,9 +461,8 @@ class NoncentralRadial(_InversePower):
         return 0.0
 
     def _c_lam23(self, l, units):
-        lam2 = -2 * units.mass * self.alpha / units.hbar**2
-        lam3 = 2 * units.mass * self.lam / units.hbar**2
-        return 0.0, lam2, lam3
+        return (0.0, -2 * units.mass * self.alpha / units.hbar**2,
+                2 * units.mass * self.lam / units.hbar**2)
 
     def energy_window(self, l, units) -> tuple[float, float]:
         ground = units.mass * self.alpha**2 / (2 * units.hbar**2)
@@ -613,8 +613,7 @@ class WoodsSaxon(_Well):
 
     def _coeff_at(self, l, units):
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
-        lam1 = b * self.V2
-        lam2 = b * (self.V1 + self.V2)
+        lam1, lam2 = b * self.V2, b * (self.V1 + self.V2)
 
         def coeff_at(energy: float) -> ParametricCoefficients:
             return ParametricCoefficients(c1=1.0, c2=-2.0, c3=-1.0,

@@ -31,6 +31,10 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameters(f"grid bound {name} must be finite, "
+                                        f"got {getattr(self, name)!r}")
         if not self.x_min < self.x_max:
             raise InvalidParameters(f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < MIN_GRID_POINTS:

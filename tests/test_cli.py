@@ -276,3 +276,58 @@ def test_exit_codes_are_restricted_set():
     for argv in samples:
         code, _ = run_cli(argv)
         assert code in (0, 2, 3, 4), argv
+
+
+# ------------------------------------------------------- run-level validation
+
+COULOMB = ["--potential", "coulomb", "--param", "e2=1"]
+
+
+@pytest.mark.parametrize("grid, name", [("0,inf,1000", "x_max"), ("-inf,5,1000", "x_min"),
+                                        ("nan,5,1000", "x_min"), ("0,nan,1000", "x_max")])
+@pytest.mark.parametrize("command", ["wavefunction", "verify"])
+def test_non_finite_grid_bound_is_invalid_and_named(command, grid, name, capsys):
+    level = ["--n", "0"] if command == "wavefunction" else []
+    code, text = run_cli([command, *COULOMB, *level, f"--grid={grid}"])
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert f"grid bound {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [[0.0, float("inf"), 1000],
+                                  {"x_min": float("-inf"), "x_max": 5.0, "n_points": 1000}])
+def test_non_finite_grid_bound_in_config_is_invalid(tmp_path, grid, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"potential": {"family": "coulomb", "params": {"e2": 1.0}},
+                                "grid": grid}))
+    for command in (["verify"], ["wavefunction", "--n", "0"]):
+        code, _ = run_cli([*command, "--config", str(path)])
+        assert code == EXIT_INVALID
+        assert "grid bound x_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_rel_tol_must_be_finite_and_positive(tmp_path, value, capsys):
+    code, _ = run_cli(["verify", *COULOMB, "--rel-tol", value])
+    assert code == EXIT_INVALID
+    assert "rel_tol must be finite and > 0" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"potential": {"family": "coulomb", "params": {"e2": 1.0}},
+                                "rel_tol": float(value)}))
+    code, _ = run_cli(["verify", "--config", str(path)])
+    assert code == EXIT_INVALID
+    assert "rel_tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_wavefunction_needs_at_least_one_sample(samples, capsys):
+    code, text = run_cli(["wavefunction", *COULOMB, "--n", "0", "--samples", samples])
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert "--samples must be >= 1" in capsys.readouterr().err
+
+
+def test_wavefunction_single_sample():
+    code, text = run_cli(["wavefunction", *COULOMB, "--n", "0", "--samples", "1"])
+    assert code == EXIT_OK
+    assert len(json.loads(text)["samples"]) == 1
