@@ -248,6 +248,8 @@ def cmd_wavefunction(args, out) -> int:
     n = args.n
     if n is None or n < 0:
         raise InvalidParameters("wavefunction needs --n >= 0")
+    if args.samples < 1:
+        raise InvalidParameters(f"--samples must be >= 1, got {args.samples}")
     states = pot.spectrum(config.potential, config.l, config.units, n_max=n)
     if len(states) <= n:
         print(f"level (n={n}, l={config.l}) does not exist", file=sys.stderr)
@@ -255,8 +257,6 @@ def cmd_wavefunction(args, out) -> int:
     state = states[n]
     grid = config.grid or pot.default_grid(config.potential, config.l, config.units,
                                            n_max=n)
-    if args.samples < 1:
-        raise InvalidParameters(f"--samples must be >= 1, got {args.samples}")
     x = np.linspace(grid.x_min, grid.x_max, args.samples)
     psi = pot.wavefunction(state, x)
     weighted = psi * psi * state.cmap.measure(x)

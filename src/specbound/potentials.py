@@ -164,8 +164,7 @@ class _Family:
 
 
 class _Well(_Family):
-    """One-dimensional well on the full line: levels lie between the
-    minimum of V and the lower of its two asymptotes."""
+    """One-dimensional well: levels lie between min V and the lower asymptote."""
 
     radial: ClassVar[bool] = False
 
@@ -537,12 +536,11 @@ class DeformedRosenMorse(_Well):
 
     def _coeff_at(self, l, units):
         c, kappa, gamma = self._scaled(units)
-        eta = self.eta
 
         def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
-                                          lambda1=gamma * eta,
-                                          lambda2=kappa * eta + gamma,
+            return ParametricCoefficients(c1=1.0, c2=-2 * self.eta, c3=-self.eta,
+                                          lambda1=gamma * self.eta,
+                                          lambda2=kappa * self.eta + gamma,
                                           lambda3=c * (self.V1 - energy))
 
         return coeff_at
@@ -657,6 +655,8 @@ class PoschlTeller(_Well):
         _require_finite(self)
         if self.V0 <= 0:
             raise InvalidParameters("Poschl-Teller needs V0 > 0")
+        if math.isinf(4 * self.V0):
+            raise InvalidParameters(f"Poschl-Teller needs 4 V0 finite, got V0 = {self.V0!r}")
         if self.a <= 0 or self.eta <= 0:
             raise InvalidParameters("Poschl-Teller needs a > 0 and eta > 0")
 

@@ -331,3 +331,11 @@ def test_wavefunction_single_sample():
     code, text = run_cli(["wavefunction", *COULOMB, "--n", "0", "--samples", "1"])
     assert code == EXIT_OK
     assert len(json.loads(text)["samples"]) == 1
+
+
+def test_poschl_teller_depth_must_stay_finite_as_rosen_morse(capsys):
+    # V0 = 1e308 is finite, but the well is solved as Rosen-Morse with V2 = 4 V0
+    code, _ = run_cli(["spectrum", "--potential", "poschl_teller", "--param", "V0=1e308",
+                       "--param", "a=1", "--param", "eta=1"])
+    assert code == EXIT_INVALID
+    assert "4 V0 finite, got V0 = 1e+308" in capsys.readouterr().err
