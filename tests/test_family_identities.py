@@ -6,6 +6,7 @@ pair has its own closed forms and its own parameter maps, so agreement of
 the residual roots and of the closed forms checks both sides.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,21 +38,16 @@ def _closed_forms(spec, l, units):
     return levels
 
 
-def _assert_close(got, expected, scale):
-    assert len(got) == len(expected), (got, expected)
-    for g, e in zip(got, expected):
-        assert abs(g - e) <= RTOL * scale(e), (g, e)
-
-
 @settings(max_examples=40, deadline=None)
 @given(V0=st.floats(0.5, 200.0), a=st.floats(0.2, 3.0), eta=st.floats(0.1, 10.0),
        units=units_st)
 def test_poschl_teller_is_rosen_morse_without_step(V0, a, eta, units):
     pt = PoschlTeller(V0, a, eta)
     rm = DeformedRosenMorse(0.0, 4 * V0, a, eta)
-    _assert_close([s.energy for s in spectrum(pt, 0, units, N_MAX)],
-                  [s.energy for s in spectrum(rm, 0, units, N_MAX)], abs)
-    _assert_close(_closed_forms(pt, 0, units), _closed_forms(rm, 0, units), abs)
+    assert [s.energy for s in spectrum(pt, 0, units, N_MAX)] == pytest.approx(
+        [s.energy for s in spectrum(rm, 0, units, N_MAX)], rel=RTOL, abs=0.0)
+    assert _closed_forms(pt, 0, units) == pytest.approx(
+        _closed_forms(rm, 0, units), rel=RTOL, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,11 +56,7 @@ def test_poschl_teller_is_rosen_morse_without_step(V0, a, eta, units):
 def test_kratzer_fues_is_shifted_mie(De, re, l, units):
     kf = KratzerFues(De, re)
     mie = Mie(2 * De, re)
-
-    def of_depth(_):
-        return De
-
-    _assert_close([s.energy for s in spectrum(kf, l, units, N_MAX)],
-                  [De + s.energy for s in spectrum(mie, l, units, N_MAX)], of_depth)
-    _assert_close(_closed_forms(kf, l, units),
-                  [De + e for e in _closed_forms(mie, l, units)], of_depth)
+    assert [s.energy for s in spectrum(kf, l, units, N_MAX)] == pytest.approx(
+        [De + s.energy for s in spectrum(mie, l, units, N_MAX)], rel=0.0, abs=RTOL * De)
+    assert _closed_forms(kf, l, units) == pytest.approx(
+        [De + e for e in _closed_forms(mie, l, units)], rel=0.0, abs=RTOL * De)
