@@ -4,21 +4,28 @@ Discretizes -(hbar^2/2m) u'' + V_eff u = E u on a uniform grid with
 Dirichlet ends (radial problems are reduced with u = r R, so their
 eigenvalues compare directly to the analytic spectrum).  Eigenvalues come
 from Sturm-sequence counts: shared brackets, Laguerre steps on the pivot
-recursion once a level is isolated, and a final bracket certified by counts.
-There are no external solver dependencies, so this path shares nothing with
-the algebraic route it checks.
+recursion once a level is isolated (Li & Zeng, SIAM J. Sci. Comput. 15,
+1994), and a final bracket certified by counts.  A count-only sweep stops,
+with the exact count, once it has entered the diagonally dominant tail of
+the matrix (the classically forbidden region beyond the outer turning
+point) with a pivot that keeps every later pivot positive.  There are no
+external solver dependencies, so this path shares nothing with the
+algebraic route it checks.
 
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
 movement between the two resolutions doubles as the grid-adequacy check:
-when it exceeds 1e-4 the grid is declared too coarse.  The h/2 solve starts
-from the h eigenvalues, which its own Sturm counts confirm or overrule.
+when it exceeds 1e-4 the grid is declared too coarse.  The h solve starts
+from the eigenvalues of the same V_eff on an 8x coarser grid, and the h/2
+solve from the h eigenvalues; each matrix's own Sturm counts confirm or
+overrule every seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +41,13 @@ PIVOT_FLOOR = 1e-300
 #: width of the count-certified bracket each eigenvalue is refined to
 #: (absolute, with a float-spacing guard)
 BISECT_TOL = 1e-12
+#: relative rounding margin of the diagonal-dominance test that ends a
+#: count-only Sturm sweep early
+DOMINANCE_MARGIN = 1e-12
+#: the seed solve runs on this many times fewer intervals than the h grid
+SEED_COARSENING = 8
+#: fewest intervals a seed solve runs on; coarser grids seed nothing
+SEED_MIN_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,8 @@ class OracleSpectrum:
     grid_adequate: bool
     #: Sturm sweeps spent on the h and the h/2 matrix
     sturm_sweeps: tuple[int, int]
+    #: Sturm sweeps spent on the coarse matrix that seeds the h solve
+    seed_sweeps: int
 
 
 @dataclass(frozen=True)
@@ -80,14 +96,48 @@ def sturm_count(diag, offdiag, lam: float) -> int:
     off2 = [float(v) * float(v) for v in offdiag]
     if len(off2) != len(diag) - 1:
         raise InvalidParameters("offdiag must be one element shorter than diag")
-    return _sturm(diag, off2, lam)
+    return _sturm(diag, off2, lam, _dominance_floor(diag, off2))
 
 
-def _sturm(diag: list, off2: list, lam: float) -> int:
+def _dominance_floor(diag: list, off2: list) -> np.ndarray:
+    """Suffix minimum of a_i - |b_(i-1)| - |b_i|, less a rounding margin of
+    DOMINANCE_MARGIN (|a_i| + |b_(i-1)| + |b_i|).
+
+    At every row from the first one where it is >= lam, T - lam is
+    diagonally dominant with a margin that covers the rounding of the
+    pivot recursion, so a pivot d > 0 with d^2 >= b_i^2 keeps every later
+    pivot positive.  One float64 array per matrix; rows where the value is
+    not a number (infinite entries) get -inf and never end a sweep early.
+    """
+    floor = np.array(diag, dtype=float)
+    b = np.array(off2, dtype=float)
+    np.sqrt(b, out=b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = np.abs(floor)
+        margin[1:] += b
+        margin[:-1] += b
+        margin *= DOMINANCE_MARGIN
+        floor[1:] -= b
+        floor[:-1] -= b
+        floor -= margin
+    floor[np.isnan(floor)] = -math.inf
+    suffix = floor[::-1]
+    np.minimum.accumulate(suffix, out=suffix)
+    return floor
+
+
+def _sturm(diag: list, off2: list, lam: float, dominance: np.ndarray) -> int:
     """One count-only sweep of the pivot recursion d_i = (a_i - lam) -
-    off2_{i-1} / d_{i-1}: the number of negative pivots."""
+    off2_{i-1} / d_{i-1}: the number of negative pivots.
+
+    The sweep stops early, with the exact count, at the first pivot d_i
+    past the row where ``dominance`` (:func:`_dominance_floor`) reaches
+    lam that is positive with d_i^2 >= off2_i: no later pivot can be
+    negative.
+    """
     floor = PIVOT_FLOOR
     rows = iter(diag)
+    couplings = iter(off2)
     d = next(rows) - lam
     count = 0
     if d < 0:
@@ -96,7 +146,19 @@ def _sturm(diag: list, off2: list, lam: float) -> int:
             d = -floor
     elif d < floor:
         d = floor
-    for a, b2 in zip(rows, off2):
+    # pivots 1 .. start - 1 run without the exit test
+    start = int(np.searchsorted(dominance, lam))
+    for a, b2 in zip(islice(rows, max(start - 1, 0)), couplings):
+        d = (a - lam) - b2 / d
+        if d < 0:
+            count += 1
+            if d > -floor:
+                d = -floor
+        elif d < floor:
+            d = floor
+    for a, b2 in zip(rows, couplings):
+        if d > 0 and d * d >= b2:
+            return count
         d = (a - lam) - b2 / d
         if d < 0:
             count += 1
@@ -192,15 +254,21 @@ def _lowest_eigenvalues(diag: list, off2: list, count: int,
     until it holds exactly one eigenvalue; from there (or from a seed with
     k or k + 1 eigenvalues below it) Laguerre steps, safeguarded by the
     bracket, replace bisection.  Once a step falls below what the sweep can
-    resolve, count-only probes around the estimate, widened after each miss,
-    certify the final bracket.
+    resolve, or Laguerre's cubic convergence puts the error left after a
+    step of length dist below half the final bracket width (dist (dist /
+    gap)^2, gap being the distance to the nearest other seed or solved
+    level), count-only probes around the estimate, widened after each miss,
+    certify the final bracket.  Count-only sweeps end at the diagonally
+    dominant tail of the matrix (:func:`_sturm`).
 
     ``seeds`` holds optional starting points, one per level.  A seed is used
     only when it lies inside its level's bracket, and its sweep's count
-    decides what it is worth: a wrong seed costs sweeps, never accuracy.
+    decides what it is worth: a wrong seed or a wrong convergence estimate
+    costs sweeps, never accuracy.
     """
     n = len(diag)
     count = min(count, n)
+    dominance = _dominance_floor(diag, off2)
     radius = math.sqrt(max(off2)) if off2 else 0.0
     bottom = min(diag) - 2 * radius  # Gershgorin bounds
     top = max(diag) + 2 * radius
@@ -217,6 +285,8 @@ def _lowest_eigenvalues(diag: list, off2: list, count: int,
             x, kind = seed, "laguerre"
         else:
             x, kind = 0.5 * (lo[k] + hi[k]), "bisect"
+        neighbours = out + [v for j, v in enumerate(seeds)
+                            if j != k and math.isfinite(v)]
         est = spread = 0.0
         # the last two step lengths: a Laguerre step must be shorter than
         # half the one before last, or bisection takes over
@@ -228,7 +298,7 @@ def _lowest_eigenvalues(diag: list, off2: list, count: int,
             if kind == "laguerre":
                 c, g, h = _laguerre_sweep(diag, off2, x)
             else:
-                c = _sturm(diag, off2, x)
+                c = _sturm(diag, off2, x, dominance)
             sweeps += 1
             for j in range(min(c, count)):
                 if x < hi[j]:
@@ -252,7 +322,12 @@ def _lowest_eigenvalues(diag: list, off2: list, count: int,
                 elif lo[k] < z < hi[k] and dist < 0.5 * steps[0]:
                     steps = [steps[1], dist]
                     x, last_side = z, side
-                    continue
+                    gap = min((abs(z - v) for v in neighbours), default=0.0)
+                    if dist**3 >= 0.5 * _width_tol(z) * gap * gap:
+                        continue
+                    # the step converged: certify z without another sweep
+                    kind = "probe"
+                    est, spread = z, 0.5 * _width_tol(z)
             if kind == "probe" and lo[k] < est - spread:
                 x = est - spread
             elif kind == "probe" and est + spread < hi[k]:
@@ -268,21 +343,35 @@ def _lowest_eigenvalues(diag: list, off2: list, count: int,
     return out, sweeps
 
 
-def _operator(v_eff, grid: RadialGrid, units: pot.UnitsConfig):
-    x = grid.points()
-    h = grid.h
+def _operator(v_eff, x_min: float, x_max: float, intervals: int,
+              units: pot.UnitsConfig):
+    """Grid points, hopping t and diagonal (as a list) of the Dirichlet
+    three-point operator on ``intervals`` uniform intervals."""
+    x = np.linspace(x_min, x_max, intervals + 1)
+    h = (x_max - x_min) / intervals
     t = units.hbar**2 / (2 * units.mass * h * h)
     diag = (2.0 * t + np.asarray(v_eff(x[1:-1]), dtype=float)).tolist()
     return x, t, diag
 
 
+def _solve(v_eff, x_min: float, x_max: float, intervals: int,
+           units: pot.UnitsConfig, count: int, seeds=()):
+    """The lowest eigenvalues of the operator on ``intervals`` intervals,
+    and the Sturm sweeps spent."""
+    _, t, diag = _operator(v_eff, x_min, x_max, intervals, units)
+    return _lowest_eigenvalues(diag, [t * t] * (len(diag) - 1), count, seeds)
+
+
 class _FDResult(tuple):
     """The ``(values, shift)`` pair of :func:`fd_eigenvalues_from_callable`,
-    also carrying ``sturm_sweeps``: the sweeps spent at h and at h/2."""
+    also carrying ``sturm_sweeps`` (the sweeps spent at h and at h/2) and
+    ``seed_sweeps`` (those of the coarse seed solve)."""
 
-    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int]):
+    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int],
+                seed_sweeps: int):
         result = super().__new__(cls, (values, shift))
         result.sturm_sweeps = sturm_sweeps
+        result.seed_sweeps = seed_sweeps
         return result
 
 
@@ -297,27 +386,33 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     largest relative movement between the two resolutions.  With ``refine``
     false the plain single-grid values are returned with shift 0.  The
     pair's ``sturm_sweeps`` attribute holds the Sturm sweeps spent at h and
-    at h/2 (0 without ``refine``).
+    at h/2 (0 without ``refine``), and ``seed_sweeps`` those of the seed
+    solve.
 
-    The h/2 solve is seeded with the h eigenvalues: they sit within the
-    Richardson movement of their h/2 counterparts, and the h/2 Sturm counts
-    confirm or overrule each seed.
+    The h solve is seeded with the eigenvalues of the same ``v_eff`` on
+    SEED_COARSENING times fewer intervals of the same [x_min, x_max], when
+    that leaves at least SEED_MIN_INTERVALS; the h/2 solve is seeded with
+    the h eigenvalues, which sit within the Richardson movement of their
+    h/2 counterparts.  Each matrix's own Sturm counts confirm or overrule
+    every seed, so seeds change the sweeps spent, not the values.
     """
-    _, t, diag = _operator(v_eff, grid, units)
-    off2 = [t * t] * (len(diag) - 1)
-    base, sweeps = _lowest_eigenvalues(diag, off2, count)
+    intervals = grid.n_points - 1
+    seeds, seed_sweeps = (), 0
+    if intervals // SEED_COARSENING >= SEED_MIN_INTERVALS:
+        seeds, seed_sweeps = _solve(v_eff, grid.x_min, grid.x_max,
+                                    intervals // SEED_COARSENING, units, count)
+    base, sweeps = _solve(v_eff, grid.x_min, grid.x_max, intervals, units,
+                          count, seeds)
     if not refine:
-        return _FDResult(np.asarray(base), 0.0, (sweeps, 0))
-    fine_grid = RadialGrid(grid.x_min, grid.x_max, 2 * (grid.n_points - 1) + 1)
-    _, t2, diag2 = _operator(v_eff, fine_grid, units)
-    off2_2 = [t2 * t2] * (len(diag2) - 1)
-    fine, fine_sweeps = _lowest_eigenvalues(diag2, off2_2, count, seeds=base)
+        return _FDResult(np.asarray(base), 0.0, (sweeps, 0), seed_sweeps)
+    fine, fine_sweeps = _solve(v_eff, grid.x_min, grid.x_max, 2 * intervals,
+                               units, count, base)
     base = np.asarray(base)
     fine = np.asarray(fine)
     rich = (4.0 * fine - base) / 3.0
     scale = np.maximum(np.abs(rich), 1e-30)
     shift = float(np.max(np.abs(fine - base) / scale))
-    return _FDResult(rich, shift, (sweeps, fine_sweeps))
+    return _FDResult(rich, shift, (sweeps, fine_sweeps), seed_sweeps)
 
 
 def _effective_grid(spec, grid: RadialGrid) -> RadialGrid:
@@ -358,7 +453,8 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
                           boundary=("dirichlet", "dirichlet"),
                           effective_potential_includes_centrifugal=spec.radial,
                           asymptote=asym, richardson_shift=shift,
-                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps)
+                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps,
+                          seed_sweeps=solved.seed_sweeps)
 
 
 def _tridiag_solve(sub, diag, sup, rhs):
@@ -408,7 +504,7 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
     def v_eff(x):
         return pot.effective_potential(spec, l, units, x)
 
-    x, t, diag = _operator(v_eff, grid, units)
+    x, t, diag = _operator(v_eff, grid.x_min, grid.x_max, grid.n_points - 1, units)
     off2 = [t * t] * (len(diag) - 1)
     lam = _lowest_eigenvalues(diag, off2, index + 1)[0][index]
 

@@ -364,6 +364,8 @@ def _first_bracket(form, n, root_choice, lo, hi, scan_points):
 
     All scan points are evaluated at once.  A NaN residual breaks the chain
     of neighbours, so no bracket spans it; an exact zero at e gives (e, e).
+    Without a sign change on the scan, the half cell below its first point
+    is searched (:func:`_bottom_bracket`).
     """
     energies = lo + (hi - lo) * (np.arange(scan_points) + 0.5) / scan_points
     f = quantization_residuals(form, n, energies, root_choice)
@@ -373,11 +375,35 @@ def _first_bracket(form, n, root_choice, lo, hi, scan_points):
     event[1:] |= valid[1:] & valid[:-1] & (negative[1:] != negative[:-1])
     hits = np.flatnonzero(event)
     if hits.size == 0:
-        return None
+        return _bottom_bracket(form, n, root_choice, lo, float(energies[0]), float(f[0]))
     i = hits[0]
     if f[i] == 0.0:
         return float(energies[i]), float(energies[i]), 0.0, 0.0
     return float(energies[i - 1]), float(energies[i]), float(f[i - 1]), float(f[i])
+
+
+def _bottom_bracket(form, n, root_choice, lo, e0, f0):
+    """Bracket (a, b, fa, fb) of a root in the half cell [lo, e0] below the
+    first scan point, or None.
+
+    A scan with no sign change leaves that half cell unseen, and a deep
+    well's ground level lies in it: its zero-point energy is below half a
+    scan spacing.  The residual at lo, or just above lo where it is not
+    finite at lo itself, then has the sign opposite to f0.
+    """
+    if math.isnan(f0):
+        return None
+    for edge in (lo, math.nextafter(lo, e0)):
+        fe = _residual_or_nan(form, n, edge, root_choice)
+        if not math.isnan(fe):
+            break
+    else:
+        return None
+    if fe == 0.0:
+        return edge, edge, 0.0, 0.0
+    if (fe < 0.0) == (f0 < 0.0):
+        return None
+    return edge, e0, fe, f0
 
 
 def _root_in(form, n, root_choice, bracket) -> float:

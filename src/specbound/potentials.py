@@ -27,7 +27,7 @@ norm integral over r^2 dr; one-dimensional families use measure 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, Union
 
@@ -159,8 +159,29 @@ class _Family:
         return self._roots
 
     def parametric(self, l, units: UnitsConfig) -> EnergyDependentForm:
-        return EnergyDependentForm(branch=self.branch, coeff_at=self._coeff_at(l, units),
-                                   energy_window=self.energy_window(l, units))
+        """The energy-dependent form at l.
+
+        Raises InvalidParameters, naming the parameters and units, when the
+        window or the coefficients at its finite ends overflow (the float
+        ``**`` raises, ``*`` gives inf), counting the factor 4 by which the
+        termination residual scales them: otherwise every residual is NaN
+        and a physical well would be reported as holding no level.
+        """
+        try:
+            coeff_at = self._coeff_at(l, units)
+            window = self.energy_window(l, units)
+            values = [v for e in window if e != math.inf
+                      for v in (e, *astuple(coeff_at(e)))]
+        except OverflowError:
+            values = [math.inf]
+        if not all(math.isfinite(4.0 * v) for v in values):
+            given = ", ".join(f"{k} = {v!r}" for k, v in potential_params(self).items())
+            raise InvalidParameters(
+                f"{self.family} parameters {given} overflow at hbar = {units.hbar!r}, "
+                f"mass = {units.mass!r}: the energy window or the coefficients "
+                "are not finite")
+        return EnergyDependentForm(branch=self.branch, coeff_at=coeff_at,
+                                   energy_window=window)
 
 
 class _Well(_Family):
@@ -1101,9 +1122,15 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
         # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
         log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
                        - 2.0 * _prefactor_peak(pc, constants)[1])
+        try:
+            norm_constant = math.exp(-0.5 * log_norm_sq)
+        except OverflowError:
+            raise InvalidParameters(
+                f"{spec.family} level n = {n} at E = {energy!r} has a norm constant "
+                f"e^{-0.5 * log_norm_sq:.6g} beyond floating point") from None
         states.append(BoundState(potential=spec, units=units, n=n, l=l,
                                  energy=energy, constants=constants,
                                  coefficients=pc, cmap=cmap,
-                                 norm_constant=math.exp(-0.5 * log_norm_sq)))
+                                 norm_constant=norm_constant))
         floor_e = energy + 1e-11 * max(abs(energy), 1.0)
     return states

@@ -339,3 +339,33 @@ def test_poschl_teller_depth_must_stay_finite_as_rosen_morse(capsys):
                        "--param", "a=1", "--param", "eta=1"])
     assert code == EXIT_INVALID
     assert "4 V0 finite, got V0 = 1e+308" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, params, named", [
+    ("coulomb", ["e2=1e200"], "e2 = 1e+200"),
+    ("noncentral_radial", ["alpha=-1e200", "lambda=0"], "alpha = -1e+200"),
+    ("morse", ["V1=100", "V2=1e308", "a=1"], "V2 = 1e+308"),
+    ("rosen_morse", ["V1=1", "V2=1e308", "a=1", "eta=1"], "V2 = 1e+308"),
+    ("woods_saxon", ["V1=1", "V2=1e308", "a=1"], "V2 = 1e+308"),
+])
+def test_overflowing_parameter_is_invalid_and_named(family, params, named, capsys):
+    # finite parameters whose energy window or coefficients overflow: the float
+    # ** raised OverflowError (exit 1), and inf windows read as "no bound states"
+    args = ["spectrum", "--potential", family]
+    for param in params:
+        args += ["--param", param]
+    code, text = run_cli(args)
+    assert code == EXIT_INVALID
+    assert text == ""
+    err = capsys.readouterr().err
+    assert named in err and "overflow" in err
+
+
+def test_unrepresentable_norm_constant_is_invalid_and_named(capsys):
+    # a 2.5e99-deep well: its ground level sits below the first scan point,
+    # and its norm constant exceeds floating point
+    code, text = run_cli(["spectrum", "--potential", "rosen_morse", "--param", "V1=1",
+                          "--param", "V2=1e100", "--param", "a=1", "--param", "eta=1"])
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert "level n = 0" in capsys.readouterr().err

@@ -11,17 +11,20 @@ from hypothesis import strategies as st
 
 from specbound import (
     Coulomb,
+    DeformedRosenMorse,
     GeneralizedMorse,
     GridTooCoarse,
     InvalidParameters,
     KratzerFues,
     Mie,
+    Pseudoharmonic,
     RadialGrid,
     TooFewSamples,
     UnitsConfig,
     compare_spectra,
     count_nodes,
     default_grid,
+    effective_potential,
     fd_eigenvalues,
     fd_eigenvalues_from_callable,
     fd_eigenvector,
@@ -31,7 +34,8 @@ from specbound import (
     sturm_count,
     wavefunction,
 )
-from specbound.oracle import _lowest_eigenvalues
+from specbound import potentials
+from specbound.oracle import _dominance_floor, _lowest_eigenvalues, _sturm
 
 UNITS = UnitsConfig()
 
@@ -149,6 +153,160 @@ def test_sturm_sweep_budget_coulomb():
     at_h, at_half_h = first.sturm_sweeps
     assert at_h <= 50 and at_half_h <= 30
     assert fd_eigenvalues(spec, 0, UNITS, count=3).sturm_sweeps == first.sturm_sweeps
+
+
+def test_seed_solve_sweep_budget_coulomb():
+    # the h solve starts from the levels of an 8x coarser grid: the seed
+    # solve's sweeps are reported apart from those at h and h/2
+    spec = Coulomb(e2=1.0)
+    first = fd_eigenvalues(spec, 0, UNITS, count=3)
+    assert 0 < first.seed_sweeps <= 40
+    assert first.sturm_sweeps[0] <= 20
+    again = fd_eigenvalues(spec, 0, UNITS, count=3)
+    assert (again.seed_sweeps, again.sturm_sweeps) == (first.seed_sweeps, first.sturm_sweeps)
+    # 399 intervals leave 49 for the seed grid, below the 64 it needs
+    small = fd_eigenvalues(spec, 0, UNITS, grid=RadialGrid(0.0, 40.0, 400), count=3,
+                           strict_grid=False)
+    assert small.seed_sweeps == 0
+
+
+def _full_sturm(diag, off2, lam):
+    """The pivot recursion over every row: the count the early exit of
+    _sturm must reproduce."""
+    count = 0
+    d = 1.0
+    for i, a in enumerate(diag):
+        d = (a - lam) - (off2[i - 1] / d if i else 0.0)
+        if d < 0:
+            count += 1
+            if d > -1e-300:
+                d = -1e-300
+        elif d < 1e-300:
+            d = 1e-300
+    return count
+
+
+def _offdiagonals(n):
+    return st.one_of(
+        st.lists(_entries, min_size=n - 1, max_size=n - 1),
+        _entries.map(lambda b: [b] * (n - 1)),
+        st.just([0.0] * (n - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_early_exit_sturm_count_matches_full_recursion(data):
+    n = data.draw(st.integers(1, 40))
+    diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    off = data.draw(_offdiagonals(n))
+    off2 = [b * b for b in off]
+    dominance = _dominance_floor(diag, off2)
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    # shifts on, next to and far from the eigenvalues and the thresholds
+    anchors = [*np.linalg.eigvalsh(matrix), *dominance[np.isfinite(dominance)], 0.0]
+    anchor = float(data.draw(st.sampled_from(anchors)))
+    offset = data.draw(st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 100.0, -100.0]),
+                                 st.floats(-1e-12, 1e-12), st.floats(-30.0, 30.0)))
+    for lam in (anchor + offset, math.nextafter(anchor, math.inf),
+                math.nextafter(anchor, -math.inf)):
+        assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam)
+
+
+def test_early_exit_sturm_with_infinite_diagonal_entries():
+    # a row with an infinite diagonal has no dominance margin (inf - inf):
+    # no sweep may stop before it on its account
+    inf = math.inf
+    for diag in ([5.0, inf, -3.0, 10.0], [inf, 1.0, -2.0, 4.0, 9.0],
+                 [1.0, -inf, 2.0, 8.0], [2.0, 3.0, inf, -1.0, inf, 0.5, 7.0]):
+        off2 = [1.0] * (len(diag) - 1)
+        dominance = _dominance_floor(diag, off2)
+        for lam in (-20.0, -5.0, 0.0, 0.5, 1.0, 3.0, 6.5, 20.0):
+            assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam)
+
+
+class _CountingRows(list):
+    """A diagonal that counts the rows a sweep reads."""
+
+    read = 0
+
+    def __iter__(self):
+        for a in list.__iter__(self):
+            self.read += 1
+            yield a
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (Coulomb(e2=1.0), RadialGrid(0.0, 80.0, 6000)),
+    (GeneralizedMorse(100.0, 20.0, 1.0), RadialGrid(-2.3, 21.4, 4000)),
+    (DeformedRosenMorse(4.0, 8.0, 0.5, 1.0), RadialGrid(-30.0, 30.0, 4000)),
+])
+def test_early_exit_sturm_on_oracle_matrices(spec, grid):
+    x = grid.points()
+    t = 1.0 / (2 * grid.h**2)
+    diag = (2 * t + effective_potential(spec, 0, UNITS, x[1:-1])).tolist()
+    off2 = [t * t] * (len(diag) - 1)
+    dominance = _dominance_floor(diag, off2)
+    levels = _lowest_eigenvalues(diag, off2, 2)[0]
+    lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
+    lams += [float(v) for v in dominance[:: len(diag) // 7]]
+    for lam in lams:
+        assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam), lam
+    # a count between the two lowest levels stops once the pivots settle in
+    # the classically forbidden tail (half the grid for the centred well)
+    rows = _CountingRows(diag)
+    assert _sturm(rows, off2, 0.5 * (levels[0] + levels[1]), dominance) == 1
+    assert rows.read < 0.6 * len(diag)
+
+
+def test_oracle_never_calls_the_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a closed form")
+
+    monkeypatch.setattr(potentials, "closed_form_energy", refuse)
+    for family in potentials.FAMILIES.values():
+        monkeypatch.setattr(family, "closed_form", refuse)
+    spec = Coulomb(e2=1.0)
+    grid = RadialGrid(0.0, 80.0, 6000)
+    values, shift = fd_eigenvalues_from_callable(
+        lambda x: effective_potential(spec, 0, UNITS, x), grid, UNITS, count=3)
+    assert shift < 1e-4
+    for v, exact in zip(values, [-0.5, -0.125, -1.0 / 18.0]):
+        assert abs(v - exact) < 1e-5 * abs(exact)
+    oracle = fd_eigenvalues(spec, 0, UNITS, grid=grid, count=3)
+    assert oracle.eigenvalues == tuple(float(v) for v in values)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (Coulomb(e2=1.0), RadialGrid(0.0, 40.0, 801)),
+    (Pseudoharmonic(V0=2.0, r0=1.0), RadialGrid(0.0, 6.0, 801)),
+])
+def test_seeded_solves_match_eigvalsh(spec, grid):
+    def v_eff(x):
+        return effective_potential(spec, 0, UNITS, x)
+
+    def dense(intervals):
+        x = np.linspace(grid.x_min, grid.x_max, intervals + 1)
+        t = 1.0 / (2 * ((grid.x_max - grid.x_min) / intervals) ** 2)
+        diag = 2 * t + v_eff(x[1:-1])
+        off = np.full(diag.size - 1, -t)
+        matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return diag.tolist(), [t * t] * off.size, np.linalg.eigvalsh(matrix)[:3]
+
+    def tolerance(diag):
+        # the 1e-12 bracket plus rounding of the Sturm recursion and of
+        # LAPACK, a few ulp of the matrix norm (the pseudoharmonic barrier
+        # puts 5e4 on the diagonal next to r = 0)
+        return 1e-12 + 64 * np.finfo(float).eps * max(abs(v) for v in diag)
+
+    # h, seeded from the coarse grid
+    solved = fd_eigenvalues_from_callable(v_eff, grid, UNITS, count=3, refine=False)
+    assert solved.seed_sweeps > 0
+    diag, _, exact = dense(grid.n_points - 1)
+    assert np.allclose(solved[0], exact, rtol=0.0, atol=tolerance(diag))
+    # h/2, seeded from h
+    diag, off2, exact = dense(2 * (grid.n_points - 1))
+    values, _ = _lowest_eigenvalues(diag, off2, 3, seeds=list(solved[0]))
+    assert np.allclose(values, exact, rtol=0.0, atol=tolerance(diag))
 
 
 # ----------------------------------------------------------------- quadrature

@@ -31,6 +31,7 @@ from specbound import (
     RootChoice,
     UnitsConfig,
     WoodsSaxon,
+    closed_form_energy,
     quantization_residual,
     quantization_residuals,
     solve_energy,
@@ -302,6 +303,44 @@ def test_scan_takes_the_first_of_several_sign_changes():
     form = _gamma2_form(lambda e: (e - 0.2) * (e + 0.3), (-1.0, 1.0))
     assert len(list(reference_scan(form, 0, RootChoice(), -1.0, 1.0, SCAN_POINTS))) == 2
     assert _check_against_reference(form, 0, RootChoice()) == pytest.approx(-0.3, abs=1e-14)
+
+
+def test_scan_finds_a_root_below_its_first_point():
+    # the root sits in the half cell [lo, first scan point], which the scan
+    # alone never brackets
+    lo, hi, points = -1.0, 1.0, 8
+    root = lo + 0.3 * (hi - lo) * 0.5 / points
+    form = _gamma2_form(lambda e: e - root, (lo, hi))
+    assert list(reference_scan(form, 0, RootChoice(), lo, hi, points)) == []
+    assert solve_energy(form, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
+    # a residual that is not finite at lo itself is read just above it
+    nan_at_lo = _gamma2_form(
+        lambda e: np.where(np.asarray(e) == lo, np.nan, np.asarray(e) - root), (lo, hi))
+    assert math.isnan(quantization_residual(nan_at_lo, 0, lo))
+    assert solve_energy(nan_at_lo, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
+    # no root below the first point: nothing is bracketed there
+    above = _gamma2_form(lambda e: e - (lo - 0.5), (lo, hi))
+    with pytest.raises(NoBoundState):
+        solve_energy(above, 0, scan_points=points)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneralizedMorse(V1=100.0, V2=6e4, a=1.0),
+    GeneralizedMorse(V1=100.0, V2=1e9, a=1.0),
+    WoodsSaxon(V1=1.0, V2=1e7, a=1.0),
+    PoschlTeller(V0=1e7, a=1.0, eta=1.0),
+    DeformedRosenMorse(V1=1.0, V2=1e8, a=1.0, eta=1.0),
+], ids=lambda s: s.family)
+def test_deep_well_keeps_the_level_below_the_first_scan_point(spec):
+    # the zero-point energy is below half a scan spacing of the window bottom
+    form, _ = to_parametric(spec, 0, UNITS)
+    lo, hi = form.energy_window
+    expected = [closed_form_energy(spec, 0, UNITS, n) for n in range(3)]
+    assert expected[0] < lo + 0.5 * (hi - lo) / SCAN_POINTS
+    states = spectrum(spec, 0, UNITS, n_max=2)
+    assert [s.n for s in states] == [0, 1, 2]
+    for state, energy in zip(states, expected):
+        assert state.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
 def test_array_residual_maps_infinities_to_nan():
