@@ -44,6 +44,9 @@ CONSISTENCY_TOL = 1e-10
 CONSISTENCY_RAISE_TOL = 1e-8
 
 DEFAULT_SCAN_POINTS = 2000
+#: a level bound by less than this many ulp of the energy window's scale is
+#: not resolved from the window's top edge
+TOP_EDGE_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,8 @@ def _first_bracket(form, n, root_choice, lo, hi, scan_points):
     All scan points are evaluated at once.  A NaN residual breaks the chain
     of neighbours, so no bracket spans it; an exact zero at e gives (e, e).
     Without a sign change on the scan, the half cell below its first point
-    is searched (:func:`_bottom_bracket`).
+    is searched (:func:`_bottom_bracket`), then the one above its last
+    point (:func:`_top_bracket`).
     """
     energies = lo + (hi - lo) * (np.arange(scan_points) + 0.5) / scan_points
     f = quantization_residuals(form, n, energies, root_choice)
@@ -375,7 +379,9 @@ def _first_bracket(form, n, root_choice, lo, hi, scan_points):
     event[1:] |= valid[1:] & valid[:-1] & (negative[1:] != negative[:-1])
     hits = np.flatnonzero(event)
     if hits.size == 0:
-        return _bottom_bracket(form, n, root_choice, lo, float(energies[0]), float(f[0]))
+        return (_bottom_bracket(form, n, root_choice, lo, float(energies[0]), float(f[0]))
+                or _top_bracket(form, n, root_choice, lo, hi, float(energies[-1]),
+                                float(f[-1])))
     i = hits[0]
     if f[i] == 0.0:
         return float(energies[i]), float(energies[i]), 0.0, 0.0
@@ -404,6 +410,28 @@ def _bottom_bracket(form, n, root_choice, lo, e0, f0):
     if (fe < 0.0) == (f0 < 0.0):
         return None
     return edge, e0, fe, f0
+
+
+def _top_bracket(form, n, root_choice, lo, hi, e_last, f_last):
+    """Bracket (a, b, fa, fb) of a root in the half cell above the last scan
+    point e_last, or None.
+
+    A level bound by less than half a scan spacing lies in that cell.  Its
+    upper end is TOP_EDGE_ULPS ulp of the window's scale below hi rather
+    than hi itself: the coefficients add E to terms of that scale, so the
+    residual cannot tell a level closer to the asymptote from the asymptote
+    (a zero at hi itself is a level at the asymptote, which is not bound),
+    and in the last few ulp it need not even be finite.
+    """
+    edge = hi - TOP_EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    if math.isnan(f_last) or not e_last < edge:
+        return None
+    fe = _residual_or_nan(form, n, edge, root_choice)
+    if fe == 0.0:
+        return edge, edge, 0.0, 0.0
+    if math.isnan(fe) or (fe < 0.0) == (f_last < 0.0):
+        return None
+    return e_last, edge, f_last, fe
 
 
 def _root_in(form, n, root_choice, bracket) -> float:

@@ -202,6 +202,23 @@ def test_verify_coarse_grid_fails_with_flag():
     assert report["grid_adequate"] is False
 
 
+@pytest.mark.parametrize("V2", ["21.22", "21.25", "21.3"])
+def test_verify_does_not_pass_on_one_of_two_morse_levels(V2):
+    # n = 1 is bound by less than half a scan cell; the residual route
+    # returns it, so verify either confirms both levels or fails on the
+    # count, and never passes with one
+    code, text = run_cli(["verify", "--potential", "morse", "--param", "V1=100",
+                          "--param", f"V2={V2}", "--param", "a=1", "--n-max", "2",
+                          "--format", "json"])
+    report = json.loads(text)
+    assert report["count_analytic"] == 2
+    if code == EXIT_OK:
+        assert [lv["n"] for lv in report["levels"]] == [0, 1]
+    else:
+        assert code == EXIT_VERIFY_FAILED
+        assert report["count_discrepancy"] is True and report["count_oracle"] == 1
+
+
 def test_verify_sweep_config(tmp_path):
     sweep = {
         "runs": [

@@ -3,10 +3,11 @@ closed-form tridiagonal spectra, quadrature exactness, node counting, and
 oracle-vs-analytic agreement."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specbound import (
@@ -34,8 +35,14 @@ from specbound import (
     sturm_count,
     wavefunction,
 )
-from specbound import potentials
-from specbound.oracle import _dominance_floor, _lowest_eigenvalues, _sturm
+from specbound import oracle, potentials
+from specbound.oracle import (
+    _dominance_floor,
+    _laguerre_sweep,
+    _levels,
+    _lowest_eigenvalues,
+    _sturm,
+)
 
 UNITS = UnitsConfig()
 
@@ -168,6 +175,22 @@ def test_seed_solve_sweep_budget_coulomb():
     small = fd_eigenvalues(spec, 0, UNITS, grid=RadialGrid(0.0, 40.0, 400), count=3,
                            strict_grid=False)
     assert small.seed_sweeps == 0
+
+
+def test_seed_solve_stops_at_converged_estimates():
+    # the seed matrix of the Coulomb default grid: without certification each
+    # level ends at its converged Laguerre estimate, in fewer sweeps than the
+    # certifying probes need and well within what a seed has to be
+    def v_eff(x):
+        return effective_potential(Coulomb(e2=1.0), 0, UNITS, x)
+
+    intervals = 5999 // oracle.SEED_COARSENING
+    _, t, diag = oracle._operator(v_eff, 0.0, 80.0, intervals, UNITS)
+    off2 = np.full(diag.size - 1, t * t)
+    certified, certified_sweeps = _lowest_eigenvalues(diag, off2, 3)
+    estimates, sweeps = _lowest_eigenvalues(diag, off2, 3, certify=False)
+    assert sweeps < certified_sweeps
+    assert np.allclose(estimates, certified, rtol=0.0, atol=1e-10)
 
 
 def _full_sturm(diag, off2, lam):
@@ -307,6 +330,306 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
     diag, off2, exact = dense(2 * (grid.n_points - 1))
     values, _ = _lowest_eigenvalues(diag, off2, 3, seeds=list(solved[0]))
     assert np.allclose(values, exact, rtol=0.0, atol=tolerance(diag))
+
+
+# ------------------------------------------------------ odd/even reduction
+
+EPS = np.finfo(float).eps
+
+
+def _full_laguerre(diag, off2, lam):
+    """The count, g and h of the pivot recursion over every row of T - lam:
+    the unreduced Laguerre sweep the reduced one replaces."""
+    floor = 1e-300
+    count, d, u, w, g, h = 0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for i, a in enumerate(diag):
+        q = off2[i - 1] / d if i else 0.0
+        w = q * (w - 2.0 * u * u)
+        d = (a - lam) - q
+        if d < 0:
+            count += 1
+            if d > -floor:
+                d = -floor
+        elif d < floor:
+            d = floor
+        u = (q * u - 1.0) / d
+        w = w / d
+        g += u
+        h += u * u - w
+    return count, g, h
+
+
+def _block_eigenvalues(diag, off):
+    """Eigenvalues of T, with a row of infinite diagonal splitting it: the
+    pivot recursion restarts past such a row, and a -inf row adds one
+    eigenvalue at -inf."""
+    values, start = [], 0
+    for i, a in enumerate([*diag, math.inf]):
+        if math.isinf(a):
+            if i > start:
+                block = np.diag(diag[start:i]) + np.diag(off[start:i - 1], 1)
+                values.extend(np.linalg.eigvalsh(block + np.triu(block, 1).T))
+            if a < 0 and i < len(diag):
+                values.append(-math.inf)
+            start = i + 1
+    return np.sort(values)
+
+
+def _pivot_zeros(diag, off, levels):
+    """For each reduction level, the lowest lam where a pivot it eliminates
+    vanishes: just below it every pivot of the level is positive and one is
+    tiny.  Level k eliminates row r = 2^k (2m + 1), whose pivot is zero at
+    the eigenvalues of the rows strictly between r - 2^k and r + 2^k."""
+    zeros = []
+    for k in range(levels):
+        step = 1 << k
+        level = []
+        for r in range(step, len(diag), 2 * step):
+            lo, hi = r - step + 1, min(r + step, len(diag))
+            level.extend(_block_eigenvalues(diag[lo:hi], off[lo:hi - 1]))
+        finite = [z for z in level if math.isfinite(z)]
+        if finite:
+            zeros.append(min(finite))
+    return zeros
+
+
+def _band(diag, off):
+    """A few ulp of the matrix's scale: how far from an eigenvalue a Sturm
+    count can be decided either way by rounding."""
+    finite = [abs(v) for v in [*diag, *off] if math.isfinite(v)]
+    return 64 * EPS * 3 * max(finite, default=1.0)
+
+
+def _assert_count_matches(diag, off, lam, eigenvalues, dominance=None):
+    """The reduced count equals the full recursion's, except within a few
+    ulp of the matrix's scale of an eigenvalue: there both counts are ones a
+    rounding of T can give, and may differ."""
+    off2 = [b * b for b in off]
+    if dominance is None:
+        dominance = _dominance_floor(diag, off2)
+    got = _sturm(diag, off2, lam, dominance)
+    want = _full_sturm(diag, off2, lam)
+    if got != want:
+        band = _band(diag, off)
+        below = int(np.sum(eigenvalues < lam - band))
+        near = int(np.sum(eigenvalues < lam + band))
+        assert below <= min(got, want) and max(got, want) <= near, (lam, got, want)
+
+
+_specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
+def _tridiagonals(n, entries=_entries):
+    """A diagonal and off-diagonals of order n: uniform random entries, for
+    which lam inside the spectrum almost always meets a pivot that is not
+    safe to eliminate, or a discretized -t u'' + V u with couplings -t (or
+    within 10% of it), which lam in the lower spectrum reduces for several
+    levels, as it does the oracle's matrices."""
+    general = st.tuples(st.lists(entries, min_size=n, max_size=n), _offdiagonals(n))
+
+    def operator(t):
+        couplings = st.one_of(
+            st.just([-t] * (n - 1)),
+            st.lists(st.floats(-1.1 * t, -0.9 * t), min_size=n - 1, max_size=n - 1))
+        noise = st.lists(st.floats(-t, t), min_size=n, max_size=n)
+        # V random, or a well whose tail is diagonally dominant from its
+        # outer turning point on
+        well = st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 20.0)).map(
+            lambda cw: [cw[1] * t * (i / n - cw[0]) ** 2 for i in range(n)])
+        potential = st.one_of(noise, st.tuples(well, noise).map(
+            lambda wn: [w + 0.1 * v for w, v in zip(*wn)]))
+        return st.tuples(potential.map(lambda v: [2 * t + x for x in v]), couplings)
+
+    return st.one_of(general, st.floats(0.5, 10.0).flatmap(operator))
+
+
+def _shift(data, diag, off, eigenvalues):
+    """A shift at a lower eigenvalue, at any eigenvalue, at a zero of a
+    pivot the reduction eliminates, or at a diagonal entry."""
+    finite = eigenvalues[np.isfinite(eigenvalues)].tolist()
+    kinds = {"low": finite[:max(1, len(finite) // 8)], "any": finite,
+             "pivot": _pivot_zeros(diag, off, _levels(len(diag))),
+             "diagonal": [a for a in diag if math.isfinite(a)]}
+    kind = data.draw(st.sampled_from([k for k, v in kinds.items() if v] or ["zero"]))
+    return float(data.draw(st.sampled_from(kinds.get(kind) or [0.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduced_count_matches_full_recursion(data):
+    # small floors and exit windows so that sizes up to 8 floors run zero to
+    # four reduction levels on the lead and on the rest of the matrix
+    floor = data.draw(st.sampled_from([4, 8, 16]))
+    window = data.draw(st.sampled_from([1, 3, 32]))
+    n = data.draw(st.integers(1, 8 * floor))
+    diag, off = data.draw(_tridiagonals(n, st.one_of(_entries, _entries, _specials)))
+    eigenvalues = _block_eigenvalues(diag, off)
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor), \
+            mock.patch.object(oracle, "EXIT_WINDOW", window):
+        anchor = _shift(data, diag, off, eigenvalues)
+        # on the anchor and one ulp either side, and just outside the
+        # rounding band, where the count is no longer ambiguous but the
+        # pivots still take the whole tail to settle
+        near = 1024 * _band(diag, off)
+        for lam in (anchor, math.nextafter(anchor, math.inf),
+                    math.nextafter(anchor, -math.inf), anchor - near, anchor + near):
+            _assert_count_matches(diag, off, lam, eigenvalues)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduced_laguerre_sweep_is_as_accurate_as_the_full_one(data):
+    # g and h against the sums over the eigenvalues: within 1e-9, or no
+    # farther than the unreduced sweep, which itself misses h by up to
+    # about 1e-7 where a leading pivot is small
+    floor = data.draw(st.sampled_from([4, 8, 16]))
+    n = data.draw(st.integers(2, 8 * floor))
+    diag, off = data.draw(_tridiagonals(n))
+    off2 = [b * b for b in off]
+    eigenvalues = _block_eigenvalues(diag, off)
+    scale = 3 * max(abs(v) for v in [*diag, *off, 1e-3])
+    lam = _shift(data, diag, off, eigenvalues) + data.draw(
+        st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.floats(-5.0, 0.0)) * scale
+    assume(np.min(np.abs(lam - eigenvalues)) >= 1e-6 * scale)
+    full = _full_laguerre(diag, off2, lam)
+    # an exactly zero leading pivot is floored, and g, h are then not finite
+    assume(math.isfinite(full[1]) and math.isfinite(full[2]))
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
+        reduced = _laguerre_sweep(np.array(diag), np.array(off2), lam)
+    _assert_laguerre_accuracy(reduced, full, eigenvalues, lam)
+
+
+def _assert_laguerre_accuracy(reduced, full, eigenvalues, lam):
+    count, g, h = reduced
+    full_count, full_g, full_h = full
+    r = 1.0 / (lam - eigenvalues)
+    exact_g, exact_h = float(r.sum()), float(np.dot(r, r))
+    assert count == full_count == int(np.sum(eigenvalues < lam))
+    assert abs(g - exact_g) <= 1e-9 * np.abs(r).sum() + 4 * abs(full_g - exact_g)
+    assert abs(h - exact_h) <= 1e-9 * exact_h + 4 * abs(full_h - exact_h)
+
+
+_HALF_STEP_MATRICES = [
+    (Coulomb(e2=1.0), RadialGrid(0.0, 80.0, 11999)),
+    (GeneralizedMorse(100.0, 20.0, 1.0), RadialGrid(-2.3, 21.4, 7999)),
+    (DeformedRosenMorse(4.0, 8.0, 0.5, 1.0), RadialGrid(-30.0, 30.0, 7999)),
+]
+
+
+def _oracle_matrix(spec, grid):
+    x = grid.points()
+    t = 1.0 / (2 * grid.h**2)
+    diag = 2 * t + effective_potential(spec, 0, UNITS, x[1:-1])
+    return diag, np.full(diag.size - 1, t * t), t
+
+
+@pytest.mark.parametrize("spec, grid", _HALF_STEP_MATRICES)
+def test_reduced_sweeps_on_oracle_matrices(spec, grid):
+    # the matrices of test_early_exit_sturm_on_oracle_matrices at h/2, with
+    # every eigenvalue from LAPACK as the reference
+    linalg = pytest.importorskip("scipy.linalg")
+    diag, off2, t = _oracle_matrix(spec, grid)
+    eigenvalues = linalg.eigvalsh_tridiagonal(diag, np.full(off2.size, -t))
+    diag_list, off_list = diag.tolist(), [-t] * off2.size
+    dominance = _dominance_floor(diag, off2)
+    levels = _lowest_eigenvalues(diag, off2, 2)[0]
+    lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
+    lams += [v for level in levels for v in (math.nextafter(level, math.inf),
+                                             math.nextafter(level, -math.inf))]
+    lams += [float(v) for v in dominance[:: diag.size // 7]]
+    for lam in lams:
+        _assert_count_matches(diag_list, off_list, lam, eigenvalues, dominance)
+    norm = float(np.max(np.abs(diag)) + 2 * t)
+    checked = 0
+    for level in levels:
+        for rel in (1e-6, -1e-6, 1e-5, -1e-5, 1e-4, -1e-4, 1e-3):
+            lam = level + rel * norm
+            if np.min(np.abs(lam - eigenvalues)) < 1e-6 * norm:
+                continue
+            full = _full_laguerre(diag_list, off2.tolist(), lam)
+            reduced = _laguerre_sweep(diag, off2, lam)
+            _assert_laguerre_accuracy(reduced, full, eigenvalues, lam)
+            scale = np.abs(1.0 / (lam - eigenvalues)).sum()
+            assert abs(reduced[1] - full[1]) <= 1e-9 * scale
+            checked += 1
+    assert checked >= 6
+
+
+def test_sweeps_run_the_recursion_on_a_fraction_of_the_rows(monkeypatch):
+    # the pure-Python recursion sees the reduced matrix only: about n / 32
+    # rows for a Laguerre sweep, and for a count next to an eigenvalue
+    # (whose pivots never settle in the tail) the lead and the rest reduced
+    # apart, plus the rows of the exit window
+    spec, grid = _HALF_STEP_MATRICES[0]
+    diag, off2, _ = _oracle_matrix(spec, grid)
+    rows = []
+    for name in ("_pivots", "_laguerre_pivots"):
+        kernel = getattr(oracle, name)
+
+        def counted(values, *args, kernel=kernel):
+            values = list(values)
+            rows.append(len(values))
+            return kernel(values, *args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    level = _lowest_eigenvalues(diag, off2, 1)[0][0]
+    rows.clear()
+    _laguerre_sweep(diag, off2, level + 1e-3)
+    assert sum(rows) <= diag.size // 16
+    rows.clear()
+    assert _sturm(diag, off2, level, _dominance_floor(diag, off2)) in (0, 1)
+    assert sum(rows) <= diag.size // 16 + oracle.EXIT_WINDOW
+
+
+# ------------------------------------------------------------ scale covariance
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweeps_are_exactly_covariant_under_power_of_two_scaling(data):
+    # s T - s lam has the pivots of T - lam times s, bit for bit: the count
+    # is the same and g, h scale by 1/s and 1/s^2 (a floored pivot, which
+    # makes g and h huge or not finite, aside).  Entries stay clear of the
+    # subnormal range, where scaling rounds.
+    normal = _entries.map(lambda v: v if abs(v) > 1e-100 else 0.0)
+    floor = data.draw(st.sampled_from([4, 8, 16]))
+    n = data.draw(st.integers(1, 8 * floor))
+    diag, off = data.draw(_tridiagonals(n, normal))
+    lam = data.draw(st.one_of(normal, st.sampled_from(diag)))
+    diag, off2 = np.array(diag), np.array(off) ** 2
+    dominance = _dominance_floor(diag, off2)
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
+        count = _sturm(diag, off2, lam, dominance)
+        sweep = _laguerre_sweep(diag, off2, lam)
+        for s in (0.25, 4.0, 1024.0):
+            scaled = _dominance_floor(s * diag, s * s * off2)
+            assert np.array_equal(scaled, s * dominance)
+            assert _sturm(s * diag, s * s * off2, s * lam, scaled) == count
+            c, g, h = _laguerre_sweep(s * diag, s * s * off2, s * lam)
+            assert c == sweep[0]
+            if abs(sweep[1]) < 1e100 and sweep[2] < 1e100:
+                assert (g, h) == (sweep[1] / s, sweep[2] / (s * s))
+
+
+@pytest.mark.parametrize("spec, l, grid", [
+    (Coulomb(e2=1.0), 1, RadialGrid(0.0, 40.0, 1201)),
+    (GeneralizedMorse(100.0, 20.0, 1.0), 0, RadialGrid(-2.3, 21.4, 1201)),
+], ids=["coulomb", "morse"])
+def test_oracle_spectrum_scales_with_hbar2_over_mass_and_v(spec, l, grid):
+    # hbar^2/m and V both times s multiply the operator, and so every
+    # eigenvalue, by s.  The counts are exactly covariant; the brackets
+    # are not (BISECT_TOL is absolute), so the values agree to the widths
+    # of the brackets that certify them
+    def v_eff(x):
+        return effective_potential(spec, l, UNITS, x)
+
+    base, _ = fd_eigenvalues_from_callable(v_eff, grid, UNITS, count=3)
+    for s in (0.25, 4.0, 1024.0):
+        units = UnitsConfig(hbar=math.sqrt(s), mass=1.0)
+        values, _ = fd_eigenvalues_from_callable(lambda x, s=s: s * v_eff(x), grid,
+                                                 units, count=3)
+        for v, b in zip(values, base):
+            widths = oracle._width_tol(v) + s * oracle._width_tol(b)
+            assert abs(v - s * b) <= widths
 
 
 # ----------------------------------------------------------------- quadrature

@@ -39,6 +39,7 @@ from specbound import (
     to_parametric,
 )
 from specbound import parametric
+from specbound.cli import CLOSED_FORM_RTOL
 
 UNITS = UnitsConfig()
 SCAN_POINTS = parametric.DEFAULT_SCAN_POINTS
@@ -376,3 +377,105 @@ def test_spectrum_scalar_residual_budget(spec, monkeypatch):
     assert states
     assert counts[0] == counts[1]
     assert counts[0] <= SCALAR_CALLS_PER_LEVEL * len(states)
+
+
+def test_scan_finds_a_root_above_its_last_point():
+    # the root sits in the half cell [last scan point, hi], which the scan
+    # alone never brackets
+    lo, hi, points = -1.0, 1.0, 8
+    root = hi - 0.3 * (hi - lo) * 0.5 / points
+    form = _gamma2_form(lambda e: e - root, (lo, hi))
+    assert list(reference_scan(form, 0, RootChoice(), lo, hi, points)) == []
+    assert solve_energy(form, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
+    # a residual that is not finite in the last ulps below hi is read below them
+    nan_near_hi = _gamma2_form(
+        lambda e: np.where(np.asarray(e) > hi - 1e-15, np.nan, np.asarray(e) - root), (lo, hi))
+    assert math.isnan(quantization_residual(nan_near_hi, 0, math.nextafter(hi, lo)))
+    assert solve_energy(nan_near_hi, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
+    # a root at hi itself is a level at the asymptote, not a bound one
+    for at_top in (hi, hi - 0.5 * parametric.TOP_EDGE_ULPS * math.ulp(hi)):
+        with pytest.raises(NoBoundState):
+            solve_energy(_gamma2_form(lambda e: e - at_top, (lo, hi)), 0, scan_points=points)
+    # with a root in each edge cell the lower one is the level
+    bottom = lo + 0.3 * (hi - lo) * 0.5 / points
+    both = _gamma2_form(lambda e: (e - bottom) * (e - root), (lo, hi))
+    assert solve_energy(both, 0, scan_points=points) == pytest.approx(bottom, abs=1e-15)
+
+
+@pytest.mark.parametrize("V2", [21.22, 21.25, 21.3])
+def test_level_bound_by_less_than_half_a_scan_cell_is_kept(V2):
+    # Morse n = 1 lies between the last scan point and the asymptote
+    spec = GeneralizedMorse(V1=100.0, V2=V2, a=1.0)
+    form, _ = to_parametric(spec, 0, UNITS)
+    lo, hi = form.energy_window
+    expected = [closed_form_energy(spec, 0, UNITS, n) for n in range(2)]
+    assert expected[1] > hi - 0.5 * (hi - lo) / SCAN_POINTS
+    states = spectrum(spec, 0, UNITS, n_max=2)
+    assert [s.n for s in states] == [0, 1]
+    for state, energy in zip(states, expected):
+        assert abs(state.energy - energy) <= CLOSED_FORM_RTOL * abs(energy)
+
+
+_WELLS = {
+    "morse": lambda depth: GeneralizedMorse(V1=100.0, V2=depth, a=1.0),
+    "rosen_morse": lambda depth: DeformedRosenMorse(V1=1.0, V2=depth, a=1.0, eta=1.0),
+    "woods_saxon": lambda depth: WoodsSaxon(V1=1.0, V2=depth, a=1.0),
+    "poschl_teller": lambda depth: PoschlTeller(V0=depth, a=1.0, eta=1.0),
+}
+
+
+def _holds(spec, n):
+    try:
+        closed_form_energy(spec, 0, UNITS, n)
+    except NoBoundState:
+        return False
+    return True
+
+
+def _threshold(make, n):
+    """The depth at which level n of the well appears, by bisection on the
+    closed form."""
+    lo, hi = 0.0, 1.0
+    while not _holds(make(hi), n):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _holds(make(mid), n) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_WELLS)), st.integers(1, 3), st.floats(-3.0, -1.0))
+def test_wells_keep_every_level_just_above_its_threshold(family, n, log_excess):
+    # level n is bound by far less than half a scan cell; every level the
+    # closed form holds must come back, to the closed form's tolerance
+    make = _WELLS[family]
+    spec = make(_threshold(make, n) * (1.0 + 10.0**log_excess))
+    expected = [closed_form_energy(spec, 0, UNITS, m) for m in range(n + 1)]
+    states = spectrum(spec, 0, UNITS, n_max=n)
+    assert [s.n for s in states] == list(range(n + 1))
+    for state, energy in zip(states, expected):
+        assert abs(state.energy - energy) <= CLOSED_FORM_RTOL * abs(energy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_WELLS)), st.integers(1, 2), st.floats(-12.0, -6.0))
+def test_levels_at_the_edge_of_resolution_stay_ordered_and_close(family, n, log_excess):
+    # a level bound by 1e-24 to 1e-6 of the window: the residual resolves E
+    # only to a few ulp of the window's scale, and not at all within
+    # TOP_EDGE_ULPS of the asymptote, where the level is left out
+    make = _WELLS[family]
+    spec = make(_threshold(make, n) * (1.0 + 10.0**log_excess))
+    form, _ = to_parametric(spec, 0, UNITS)
+    lo, hi = form.energy_window
+    states = spectrum(spec, 0, UNITS, n_max=n)
+    band = parametric.TOP_EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    if closed_form_energy(spec, 0, UNITS, n) < hi - 2 * band:
+        assert [s.n for s in states] == list(range(n + 1))
+    else:
+        assert [s.n for s in states] in (list(range(n)), list(range(n + 1)))
+    energies = [s.energy for s in states]
+    assert energies == sorted(energies) and energies[-1] < hi
+    for state in states:
+        expected = closed_form_energy(spec, 0, UNITS, state.n)
+        assert abs(state.energy - expected) <= 1e-14 * (hi - lo)
