@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -404,11 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parse_args
+    leaves a parser as it was, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -428,3 +435,7 @@ def main(argv=None, out=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

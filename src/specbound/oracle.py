@@ -9,25 +9,37 @@ recursion once a level is isolated (Li & Zeng, SIAM J. Sci. Comput. 15,
 solver dependencies, so this path shares nothing with the algebraic route
 it checks.
 
-Each sweep first reduces T - lam by odd/even (cyclic) reduction in numpy
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970): it eliminates the
-odd rows, whose block is diagonal, and the Schur complement S(lam) is again
-symmetric tridiagonal.  Reduction repeats while the matrix has at least
-REDUCE_MIN_ROWS rows and every pivot it eliminates is positive and no
-smaller than the loads it puts on its neighbours.  With positive
-eliminated pivots, Sylvester's law of inertia gives count(T - lam) =
-count(S(lam)), and log|det(T - lam)| is the sum of their logarithms plus
-log|det S(lam)|; a Laguerre sweep carries the first two lam-derivatives of
-S's entries along.  The pure-Python pivot recursion then runs on S only,
-fewer than REDUCE_MIN_ROWS rows once every level is eliminated (1/16 to
-1/64 of the h and h/2 matrices).  A count-only sweep reduces the rows before
-the diagonally dominant tail of the matrix (the classically forbidden
-region beyond the outer turning point) and stops, with the exact count,
-once a pivot there keeps every later pivot positive; where that takes more
-than EXIT_WINDOW rows, as next to an eigenvalue, it reduces and counts the
-rest of the matrix instead.  Reduction changes the cost of a sweep, not its
-contract: every level still ends in a count-certified bracket no wider
-than max(BISECT_TOL, 4 ulp).
+Every matrix is kept as a path Laplacian plus a diagonal, T - lam = L(b) +
+diag(w): b are the edge weights |offdiag| and w_i = diag_i - b_(i-1) - b_i
+- lam.  The operator is built in this form directly, w = V_eff - lam with
+every edge t and a Dirichlet ghost edge t at either end, so no sweep ever
+adds 2t to a small number.  The pivot recursion runs on the excess of each
+pivot over its edge to the next row, delta_i = w_i + b_(i-1) delta_(i-1) /
+(b_(i-1) + delta_(i-1)), and a pivot is negative exactly when delta_i <
+-b_i.  A count then resolves a level to about 1e-15 where storing 2t + V
+resolved it only to a few ulp of 4t (1e-12 to 1e-10), and the Laguerre
+estimate and the count transition agree, so the two probes either side of
+the estimate normally certify the level.
+
+Each sweep first reduces T - lam by odd/even reduction in numpy, which in
+this form is Kron reduction (Dorfler & Bullo, IEEE TCAS-I 60, 2013):
+eliminating row k, of pivot p = b_l + b_r + w_k, adds b w_k / p to the w of
+each neighbour and joins them by the edge b_l b_r / p, so the Schur
+complement S(lam) is again a Laplacian plus a diagonal.  Reduction repeats
+while the matrix has at least REDUCE_MIN_ROWS rows and every row it
+eliminates has |w_k| < p.  With positive eliminated pivots, Sylvester's law
+of inertia gives count(T - lam) = count(S(lam)), and log|det(T - lam)| is
+the sum of their logarithms plus log|det S(lam)|; a Laguerre sweep carries
+the first two lam-derivatives of S's entries along.  The pure-Python pivot
+recursion then runs on S only, fewer than REDUCE_MIN_ROWS rows once every
+level is eliminated (1/16 to 1/64 of the h and h/2 matrices).  A
+count-only sweep reduces the rows before the classically forbidden tail of
+the matrix, from where every w >= 0, and stops, with the exact count, at
+the first excess >= 0 there: every later excess stays >= 0, in floating
+point too.  Where that takes more than EXIT_WINDOW rows, as next to an
+eigenvalue, it reduces the rest of the matrix, all of whose pivots are
+safe, without tests, and counts it.  Every level ends in a count-certified
+bracket no wider than max(BISECT_TOL, 4 ulp).
 
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
@@ -42,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -58,9 +69,9 @@ PIVOT_FLOOR = 1e-300
 #: width of the count-certified bracket each eigenvalue is refined to
 #: (absolute, with a float-spacing guard)
 BISECT_TOL = 1e-12
-#: relative rounding margin of the diagonal-dominance test that ends a
-#: count-only Sturm sweep early
-DOMINANCE_MARGIN = 1e-12
+#: magnitude that infinite matrix entries and the load of a vanishing
+#: pivot are clamped to
+HUGE = 1e300
 #: the seed solve runs on this many times fewer intervals than the h grid
 SEED_COARSENING = 8
 #: fewest intervals a seed solve runs on; coarser grids seed nothing
@@ -115,42 +126,48 @@ class VerificationReport:
 def sturm_count(diag, offdiag, lam: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
     below lam, from the sign count of the Sturm pivot recursion."""
-    diag, off2 = _matrix(diag, offdiag)
-    return _sturm(diag, off2, lam, _dominance_floor(diag, off2))
+    pot, edges = _form(diag, offdiag)
+    return _sturm(pot, edges, lam, _tail_floor(pot))
 
 
-def _matrix(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and squared couplings of a symmetric tridiagonal matrix as
-    float64 arrays."""
-    diag = np.array(diag, dtype=float).reshape(-1)
-    off2 = np.array(offdiag, dtype=float).reshape(-1)
-    if off2.size != diag.size - 1:
-        raise InvalidParameters("offdiag must be one element shorter than diag")
-    return diag, off2 * off2
+def _form(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric tridiagonal matrix as a path Laplacian plus a diagonal,
+    T = L(edges) + diag(pot), both float64 arrays.
 
-
-def _dominance_floor(diag, off2) -> np.ndarray:
-    """Suffix minimum of a_i - |b_(i-1)| - |b_i|, less a rounding margin of
-    DOMINANCE_MARGIN (|a_i| + |b_(i-1)| + |b_i|).
-
-    At every row from the first one where it is >= lam, T - lam is
-    diagonally dominant with a margin that covers the rounding of the
-    pivot recursion, so a pivot d > 0 with d^2 >= b_i^2 keeps every later
-    pivot positive.  One float64 array per matrix; rows where the value is
-    not a number (infinite entries) get -inf and never end a sweep early.
+    The edge weights are |offdiag|, with a ghost edge of weight 0 at either
+    end, and pot_i = diag_i - edges_i - edges_(i+1).  Entries are clamped to
+    +-HUGE, so that an infinite diagonal entry stays a number: such a row
+    splits the matrix, and so does one of weight HUGE.
     """
-    floor = np.array(diag, dtype=float)
-    b = np.array(off2, dtype=float)
-    np.sqrt(b, out=b)
-    with np.errstate(invalid="ignore", over="ignore"):
-        margin = np.abs(floor)
-        margin[1:] += b
-        margin[:-1] += b
-        margin *= DOMINANCE_MARGIN
-        floor[1:] -= b
-        floor[:-1] -= b
-        floor -= margin
-    floor[np.isnan(floor)] = -math.inf
+    diag = np.array(diag, dtype=float).reshape(-1)
+    off = np.array(offdiag, dtype=float).reshape(-1)
+    if off.size != diag.size - 1:
+        raise InvalidParameters("offdiag must be one element shorter than diag")
+    edges = np.zeros(diag.size + 1)
+    np.abs(off, out=edges[1:-1])
+    np.minimum(edges, HUGE, out=edges)
+    with np.errstate(invalid="ignore"):
+        pot = diag - edges[:-1] - edges[1:]
+    np.clip(pot, -HUGE, HUGE, out=pot)
+    return pot, edges
+
+
+def _edges(t: float, rows: int) -> np.ndarray:
+    """The edge weights of the three-point operator on ``rows`` rows: t for
+    every edge, the two Dirichlet ghost edges included, as a read-only array
+    that stores it once."""
+    return np.broadcast_to(float(t), (rows + 1,))
+
+
+def _tail_floor(pot: np.ndarray) -> np.ndarray:
+    """Suffix minimum of pot.
+
+    From the first row where it is >= lam on, every w = pot - lam is >= 0
+    (as computed, too), so a count sweep there can stop at the first
+    excess >= 0 (:func:`_sturm`).  Rows where pot is not a number get -inf
+    and never end a sweep early.
+    """
+    floor = np.where(np.isnan(pot), -math.inf, pot)
     suffix = floor[::-1]
     np.minimum.accumulate(suffix, out=suffix)
     return floor
@@ -166,123 +183,196 @@ def _levels(rows: int) -> int:
     return levels
 
 
-def _halve(s: np.ndarray, c2: np.ndarray):
-    """One odd/even reduction level of the matrix with diagonal s and
-    squared couplings c2: the loads x_i = c2_(i-1)/p_i and y_i = c2_i/p_i
-    that each odd row i, of pivot p_i = s_i, puts on the even rows next to
-    it, or None when a pivot is not safe to eliminate.
+def _odd_pivots(w: np.ndarray, e: np.ndarray):
+    """The edges to the left and to the right of every odd row k of L(e) +
+    diag(w), one float for both when every edge has the same weight, and
+    the pivots p_k = e_k + e_(k+1) + w_k."""
+    odd = w.size // 2
+    if e.strides[0] == 0:  # one weight for every edge, as the operator's
+        left = right = float(e[0])
+        return left, right, w[1::2] + (left + right)
+    left = e[1:2 * odd:2]
+    right = e[2:2 * odd + 1:2]
+    p = left + right
+    p += w[1::2]
+    return left, right, p
 
-    Rows 0, 2, 4, ... of the Schur complement have diagonal s minus the
-    loads from the odd rows on either side, and squared couplings x y.  A
-    pivot is safe when p_i > 0 and neither load exceeds it (p_i^2 >= c2_(i-1)
-    and p_i^2 >= c2_i): the rounding the loads carry into the complement
-    then stays within a few ulp of p_i.
+
+def _halve(w: np.ndarray, e: np.ndarray, checked: bool = True):
+    """One odd/even (Kron) reduction level of L(e) + diag(w), or None when
+    ``checked`` and a pivot is not safe to eliminate.
+
+    Eliminating odd row k, of pivot p = b_l + b_r + w_k, gives each even
+    neighbour the load b w_k / p through its edge b, and joins the two by
+    the edge b_l b_r / p.  A pivot is safe when |w_k| < p (w_k > -(b_l +
+    b_r) / 2): then p > 0, and no sum in the step cancels more than half
+    of its terms.
     """
-    p = s[1::2]
-    if not p.min() > 0:
+    left, right, p = _odd_pivots(w, e)
+    r = w[1::2] / p
+    if checked and not np.abs(r).max() < 1.0:
         return None
-    x = c2[0::2] / p
-    y = c2[1::2] / p[:c2.size // 2]
-    if not ((x <= p).all() and (y <= p[:y.size]).all()):
-        return None
-    return x, y
+    return _joined(w, e, left, right, r, right / p)
 
 
-def _reduce(s: np.ndarray, c2: np.ndarray, levels: int):
-    """Diagonal and squared couplings of the Schur complement left by up to
-    ``levels`` odd/even reductions of the matrix (s, c2), stopping at the
-    first level with a pivot that is not safe (:func:`_halve`).
+def _joined(w, e, left, right, r, right_share):
+    """The complement's (w, e) after the odd rows with the given edges,
+    load shares r = w_k / p and right edge shares b_r / p are eliminated."""
+    load = left * r
+    even = _loaded(w[0::2].copy(), load, load if left is right else right * r, np.add)
+    edges = np.empty(even.size + 1)
+    edges[0], edges[-1] = e[0], e[-1]
+    np.multiply(left, right_share, out=edges[1:r.size + 1])
+    return even, edges
 
-    Row 0 and, when len(s) - 1 is a multiple of 2^levels, the last row are
-    kept.  The eliminated pivots are positive, so by Sylvester's law of
-    inertia the complement has as many negative eigenvalues as the matrix.
+
+def _loaded(even, left, right, op):
+    """``op`` (np.add or np.subtract) applied in place to the even rows:
+    ``left`` to the row before each odd row, ``right`` to the row after it
+    (the last odd row's may fall on the ground, past the last row)."""
+    head = even[:left.size]
+    op(head, left, out=head)
+    tail = even[1:]
+    op(tail, right[:tail.size], out=tail)
+    return even
+
+
+def _reduce(w: np.ndarray, e: np.ndarray, levels: int, checked: bool = True):
+    """(w, e) of the Schur complement left by up to ``levels`` odd/even
+    reductions of L(e) + diag(w), stopping at the first level with a pivot
+    that is not safe (:func:`_halve`); with ``checked`` false every pivot
+    is taken as safe.
+
+    Row 0 and, when len(w) - 1 is a multiple of 2^levels, the last row are
+    kept, with their ghost edges.  The eliminated pivots are positive, so by
+    Sylvester's law of inertia the complement has as many negative
+    eigenvalues as the matrix.
     """
     for _ in range(levels):
-        loads = _halve(s, c2)
-        if loads is None:
+        halved = _halve(w, e, checked)
+        if halved is None:
             break
-        x, y = loads
-        s = _loaded(s[0::2].copy(), x, y)
-        c2 = x[:y.size] * y
-    return s, c2
+        w, e = halved
+    return w, e
 
 
-def _floats(values, start: int, stop: int) -> list:
-    """values[start:stop] of a diagonal or of the couplings as a list of
-    floats: an array is converted, any other sequence read up to stop."""
-    if isinstance(values, np.ndarray):
-        return values[start:stop].tolist()
-    return list(islice(values, start, stop))
+def _negative_load(b: float, d: float, p: float) -> float:
+    """b d / p, the load a negative pivot p = b + d puts on the next row.
+
+    A pivot above -PIVOT_FLOOR counts as -PIVOT_FLOOR and the load is then
+    capped at HUGE; an excess of -inf (a row that split the matrix, whose
+    load is inf / inf) leaves the edge b as a ghost edge of the next row.
+    The sweep loops inline these lines.
+    """
+    if p > -PIVOT_FLOOR:
+        p = -PIVOT_FLOOR
+    load = b * (d / p)
+    if not load <= HUGE:
+        load = HUGE if load > 0 else b
+    return load
 
 
-def _pivots(rows, couplings, lam: float, d: float, count: int):
-    """The pivot recursion d_i = (a_i - lam) - b2_i / d_(i-1) over ``rows``
-    a_i, each with the squared coupling b2_i to the row before, continued
-    from pivot d with ``count`` negative pivots; returns the new count and
-    the last pivot."""
-    floor = PIVOT_FLOOR
-    for a, b2 in zip(rows, couplings):
-        d = (a - lam) - b2 / d
-        if d < 0:
+def _pivots(rows, edges, d: float, count: int):
+    """The pivot recursion in excess form over ``rows`` w_i, each with the
+    edge b_i to the row before, continued from that row's excess d with
+    ``count`` negative pivots; returns the new count and the last excess.
+
+    The excess of row i is delta_i = w_i + b_i delta_(i-1) / p_(i-1), where
+    p_(i-1) = b_i + delta_(i-1) is the pivot of the row before, negative
+    exactly when delta_(i-1) < -b_i.
+    """
+    floor, huge = PIVOT_FLOOR, HUGE
+    for w, b in zip(rows, edges):
+        p = b + d
+        if p < 0:  # as in _negative_load
             count += 1
-            if d > -floor:
-                d = -floor
-        elif d < floor:
-            d = floor
+            if p > -floor:
+                p = -floor
+            load = b * (d / p)
+            if not load <= huge:
+                load = huge if load > 0 else b
+            d = w + load
+            continue
+        if p < floor:
+            p = floor
+        d = w + b * (d / p)
     return count, d
 
 
-def _sturm(diag, off2, lam: float, dominance: np.ndarray) -> int:
-    """One count-only sweep: the number of negative pivots of T - lam.
+def _sweep_rows(w: np.ndarray, e: np.ndarray, head: float, levels: int,
+                count: int, checked: bool = True):
+    """The pivot recursion over the rows (w, e) after up to ``levels``
+    reductions (:func:`_reduce`), row 0 starting from the excess w_0 +
+    head; returns the new count, the last row's excess and its right edge.
+    The reduction never reads e_0, so ``head`` stands in for it."""
+    w, e = _reduce(w, e, levels, checked)
+    count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + head, count)
+    return count, d, float(e[-1])
 
-    ``dominance`` (:func:`_dominance_floor`) gives the first row from which
-    T - lam is diagonally dominant.  The rows before it (the lead) are
-    odd/even reduced (:func:`_reduce`) when there are at least
-    REDUCE_MIN_ROWS of them; the reduction keeps the lead's last row, so
-    the pivot recursion on the complement ends on the lead's last pivot.
-    From the dominant row on, the sweep stops, with the exact count, at the
-    first pivot d_i that is positive with d_i^2 >= off2_i: no later pivot
-    can be negative.  Close to an eigenvalue the pivots can take many rows
-    to get there; after EXIT_WINDOW rows the rest of the matrix, with its
-    first row shifted by the last pivot, is reduced and counted instead.
+
+def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float, tail) -> int:
+    """One count-only sweep: the number of negative pivots of T - lam =
+    L(edges) + diag(pot - lam).
+
+    ``tail`` (:func:`_tail_floor`) gives the first row from which every w
+    = pot - lam is >= 0.  The rows before it (the lead) are odd/even
+    reduced (:func:`_reduce`) when there are at least REDUCE_MIN_ROWS of
+    them; the reduction keeps the lead's last row, so the pivot recursion
+    on the complement ends on the lead's last excess.  From the tail on,
+    the sweep stops, with the exact count, at the first excess >= 0: with
+    w >= 0 every later excess is >= 0 as well, in floating point too, and
+    no later pivot is negative.  Close to an eigenvalue the excesses can
+    take many rows to get there; after EXIT_WINDOW rows the rest of the
+    matrix, whose pivots are all safe, is reduced without tests and
+    counted instead.  With ``tail`` None the whole matrix is the lead: one
+    reduction, cheaper where the sweep would not stop early anyway.
     """
-    n = len(diag)
-    plain = max(int(np.searchsorted(dominance, lam)), 1)
+    n = pot.size
+    plain = n if tail is None else int(np.searchsorted(tail, lam))
+    if plain == 0:
+        return 0
     levels = _levels(plain)
     # 1 + a multiple of 2^levels rows, so that the reduction keeps the last
-    lead = 1 + (plain - 1) // (1 << levels) * (1 << levels) if levels else 0
-    count, d = 0, 1.0
+    lead = 1 + (plain - 1) // (1 << levels) * (1 << levels)
+    stop = min(plain + EXIT_WINDOW, n)
     with np.errstate(all="ignore"):
-        if lead:
-            s, c2 = _reduce(np.asarray(diag[:lead], dtype=float) - lam,
-                            np.asarray(off2[:lead - 1], dtype=float), levels)
-            count, d = _pivots(s.tolist(), [0.0] + c2.tolist(), 0.0, d, count)
-        stop = min(plain + EXIT_WINDOW, n)
-        rows = _floats(diag, lead, stop)
-        # each row's coupling to the row before it, 0 for row 0
-        couplings = (_floats(off2, lead - 1, stop - 1) if lead
-                     else [0.0] + _floats(off2, 0, stop - 1))
-        count, d = _pivots(rows[:plain - lead], couplings, lam, d, count)
-        floor = PIVOT_FLOOR
-        for a, b2 in zip(rows[plain - lead:], couplings[plain - lead:]):
-            if d > 0 and d * d >= b2:
-                return count
-            d = (a - lam) - b2 / d
-            if d < 0:
-                count += 1
-                if d > -floor:
-                    d = -floor
-            elif d < floor:
-                d = floor
-        if stop == n:
+        count, d, _ = _sweep_rows(pot[:lead] - lam, edges[:lead + 1],
+                                  float(edges[0]), levels, 0)
+        rows = (pot[lead:stop] - lam).tolist()
+    left = edges[lead:stop].tolist()
+    count, d = _pivots(rows[:plain - lead], left[:plain - lead], d, count)
+    floor = PIVOT_FLOOR
+    for w, b in zip(rows[plain - lead:], left[plain - lead:]):
+        if d >= 0:
             return count
-        s = np.asarray(diag[stop:], dtype=float) - lam
-        s[0] -= off2[stop - 1] / d
-        s, c2 = _reduce(s, np.asarray(off2[stop:], dtype=float), _levels(n - stop))
-    return _pivots(s.tolist(), [0.0] + c2.tolist(), 0.0, 1.0, count)[0]
+        p = b + d
+        if p < 0:
+            count += 1
+            d = w + _negative_load(b, d, p)
+        else:
+            d = w + b * (d / max(p, floor))
+    if d >= 0:
+        return count
+    if stop == n:
+        return count + (d + float(edges[n]) < 0)
+    # the last pivot before the rest, and its load on the rest's first row
+    b = float(edges[stop])
+    p = b + d
+    if p < 0:
+        count += 1
+        head = _negative_load(b, d, p)
+    else:
+        head = b * (d / max(p, floor))
+    with np.errstate(all="ignore"):
+        rest = pot[stop:] - lam
+        levels = _levels(n - stop)
+        total, d, right = _sweep_rows(rest, edges[stop:], head, levels, count, False)
+        if d != d:  # a pivot that vanished in the reduction: take the safe way
+            total, d, right = _sweep_rows(rest, edges[stop:], head, levels, count)
+    return total + (d + right < 0)
 
 
-def _laguerre_sweep(diag: np.ndarray, off2: np.ndarray, lam: float):
+def _laguerre_sweep(pot: np.ndarray, edges: np.ndarray, lam: float):
     """The count of :func:`_sturm` plus g = sum 1/(lam - e_j) and h = sum
     1/(lam - e_j)^2 over all eigenvalues e_j of T, in the same sweep.
 
@@ -294,117 +384,148 @@ def _laguerre_sweep(diag: np.ndarray, off2: np.ndarray, lam: float):
     recursion on the complement.  The Laguerre degree stays the order of T.
     """
     with np.errstate(all="ignore"):
-        jets, g, h = _reduce_jets(diag - lam, off2, _levels(diag.size))
-    s, s1, s2, c2, c21, c22 = (
-        part.tolist() if isinstance(part, np.ndarray) else repeat(part)
-        for part in jets)
-    count, g_s, h_s = _laguerre_pivots(s, s1, s2, chain((0.0,), c2),
-                                       chain((0.0,), c21), chain((0.0,), c22))
+        jets, g, h = _reduce_jets(pot - lam, edges, _levels(pot.size))
+    count, g_s, h_s = _laguerre_pivots(*jets)
     return count, g + g_s, h + h_s
 
 
-def _reduce_jets(s: np.ndarray, c2: np.ndarray, levels: int):
-    """:func:`_reduce` of T - lam carrying lam-derivatives.
+def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
+    """:func:`_reduce` of T - lam = L(e) + diag(w) carrying lam-derivatives.
 
-    Returns the complement's diagonal and squared couplings with their first
-    and second lam-derivatives, (s, s', s'', c2, c2', c2''), and the sums
-    of p'/p and (p'/p)^2 - p''/p over the eliminated pivots p.  Before the
-    first level s' = -1 and the rest are 0; they stay scalars when no level
-    is eliminated.
+    Returns the complement's w and e with the first and second
+    lam-derivatives of its diagonal s_i = w_i + e_i + e_(i+1) and of its
+    squared edges c = e^2, (w, e, s', s'', c', c''), c' and c'' aligned with
+    e; and the sums of p'/p and (p'/p)^2 - p''/p over the eliminated pivots
+    p.  Before the first level s' = -1 and the rest are 0; they stay scalars
+    when no level is eliminated.  The values follow the Laplacian form
+    (:func:`_halve`), the derivatives the loads b^2 / p that the
+    elimination takes off the diagonal s.
     """
-    jets = (s, -1.0, 0.0, c2, 0.0, 0.0)
+    s1, s2, c1, c2 = -1.0, 0.0, 0.0, 0.0
     g = h = 0.0
     for _ in range(levels):
-        loads = _halve(s, c2)
-        if loads is None:
+        left, right, p = _odd_pivots(w, e)
+        inv = 1.0 / p
+        r = w[1::2] * inv
+        if not np.abs(r).max() < 1.0:
             break
-        x, y = loads
-        s, s1, s2, c2, c21, c22 = jets
-        inv = 1.0 / s[1::2]
-        right = slice(0, y.size)
-        evens = (s.size + 1) // 2
+        right_share = right * inv
+        x = left * left * inv  # the loads b^2 / p on either neighbour
+        y = x if left is right else right * right_share
+        odd, evens = p.size, (w.size + 1) // 2
         if isinstance(s1, float):
-            # T - lam, p' = -1 and couplings free of lam: (1/p)' = 1/p^2, so
-            # x' = x/p, x'' = 2 x/p^2, and the same for y and for c2 = x y
+            # T - lam, p' = -1 and edges free of lam: (1/p)' = 1/p^2, so
+            # x' = x/p, x'' = 2 x/p^2, and the same for y and for c = x y
             g -= float(inv.sum())
             h += float(np.dot(inv, inv))
             x1 = x * inv
-            y1 = y * inv[right]
-            s1 = _loaded(np.full(evens, -1.0), x1, y1)
+            y1 = x1 if y is x else y * inv
+            s1 = _loaded(np.full(evens, -1.0), x1, y1, np.subtract)
             x1 *= inv
-            y1 *= inv[right]
-            s2 = _loaded(np.zeros(evens), x1, y1)
+            if y1 is not x1:
+                y1 *= inv
+            s2 = _loaded(np.zeros(evens), x1, y1, np.subtract)
             s2 *= 2.0
-            c2 = x[right] * y
-            c21 = c2 * inv[right]
-            c21 *= 2.0
-            c22 = c21 * inv[right]
-            c22 *= 3.0
+            c1 = np.zeros(evens + 1)
+            inner = c1[1:odd + 1]
+            np.multiply(x, y, out=inner)
+            inner *= inv
+            inner *= 2.0
+            c2 = np.zeros(evens + 1)
+            np.multiply(inner, inv, out=c2[1:odd + 1])
+            c2 *= 3.0
         else:
             v = s1[1::2] * inv
             z = s2[1::2] * inv
             g += float(v.sum())
             h += float(np.dot(v, v) - z.sum())
-            # lam-derivatives of x = c2_(i-1)/p and y = c2_i/p
-            x1 = c21[0::2] * inv - x * v
-            x2 = c22[0::2] * inv - 2.0 * x1 * v - x * z
-            y1 = c21[1::2] * inv[right] - y * v[right]
-            y2 = c22[1::2] * inv[right] - 2.0 * y1 * v[right] - y * z[right]
-            s1 = _loaded(s1[0::2].copy(), x1, y1)
-            s2 = _loaded(s2[0::2].copy(), x2, y2)
-            xr, x1r = x[right], x1[right]
-            c2 = xr * y
-            c21 = x1r * y + xr * y1
-            c22 = x2[right] * y + 2.0 * x1r * y1 + xr * y2
-        s = _loaded(s[0::2].copy(), x, y)
-        jets = (s, s1, s2, c2, c21, c22)
-    return jets, g, h
+            # lam-derivatives of x = c_l/p and y = c_r/p:
+            # x' = (c_l' - x p')/p and x'' = (c_l'' - 2 x' p' - x p'')/p
+            twice_v = v + v
+            x1 = c1[1:2 * odd:2] * inv
+            x1 -= x * v
+            x2 = c2[1:2 * odd:2] * inv
+            x2 -= x1 * twice_v
+            x2 -= x * z
+            y1 = c1[2:2 * odd + 1:2] * inv
+            y1 -= y * v
+            y2 = c2[2:2 * odd + 1:2] * inv
+            y2 -= y1 * twice_v
+            y2 -= y * z
+            s1 = _loaded(s1[0::2].copy(), x1, y1, np.subtract)
+            s2 = _loaded(s2[0::2].copy(), x2, y2, np.subtract)
+            # (x y)' and (x y)'' for the squared new edges
+            c1 = np.zeros(evens + 1)
+            inner = c1[1:odd + 1]
+            np.multiply(x1, y, out=inner)
+            inner += x * y1
+            c2 = np.zeros(evens + 1)
+            inner = c2[1:odd + 1]
+            np.multiply(x2, y, out=inner)
+            inner += x * y2
+            x1 *= y1
+            inner += x1
+            inner += x1
+        w, e = _joined(w, e, left, right, r, right_share)
+    return (w, e, s1, s2, c1, c2), g, h
 
 
-def _loaded(even, x, y):
-    """The even rows' entries ``even`` less the loads x from the odd row
-    after each and y from the odd row before it, in place."""
-    even[:x.size] -= x
-    even[1:y.size + 1] -= y
-    return even
+def _laguerre_pivots(w, e, s1, s2, c1, c2):
+    """Count, g and h of the pivot recursion (:func:`_pivots`) on L(e) +
+    diag(w), with the first and second lam-derivatives of its diagonal
+    (s1, s2) and of its squared edges (c1, c2, aligned with e), arrays or
+    scalars for every row.
 
-
-def _laguerre_pivots(diag, diag1, diag2, off2, off21, off22):
-    """Count, g and h of the pivot recursion d_i = s_i - c2_i / d_(i-1) on a
-    matrix whose entries depend on lam: the diagonal s and the squared
-    couplings c2 (each to the row before, 0 for the first row), with their
-    first and second lam-derivatives.
-
-    g and -h are the first two lam-derivatives of sum log|d_i|, carried as
-    u_i = d_i'/d_i and w_i = d_i''/d_i.  With s' = -1 and s'' = c2' = c2''
-    = 0 (an unreduced T - lam) every operation is that of the plain
-    recursion.  A floored pivot makes g and h non-finite, which the caller
+    g and -h are the first two lam-derivatives of sum log|p_i| over the
+    pivots p_i = s_i - c_i / p_(i-1), carried as u_i = p_i'/p_i and v_i =
+    p_i''/p_i.  A floored pivot makes g and h non-finite, which the caller
     treats as a refused step.
     """
-    floor = PIVOT_FLOOR
+    rows, edges = w.tolist(), e.tolist()
+    a1s, a2s, b1s, b2s = (part.tolist() if isinstance(part, np.ndarray)
+                          else [part] * len(edges) for part in (s1, s2, c1, c2))
+    floor, huge = PIVOT_FLOOR, HUGE
     count = 0
-    d, u, w = 1.0, 0.0, 0.0
     g = h = 0.0
-    for a, a1, a2, b2, b21, b22 in zip(diag, diag1, diag2, off2, off21, off22):
-        inv = 1.0 / d
-        r1 = b21 * inv
-        q = b2 / d
-        # the lam-derivatives of q = c2/d are r1 - q u and
-        # c2''/d - 2 r1 u - q (w - 2 u^2)
-        curvature = q * (w - 2.0 * u * u)
-        w = a2 - b22 * inv + 2.0 * r1 * u + curvature
-        u = a1 - r1 + q * u
-        d = a - q
-        if d < 0:
+    # the excess of row 0 and the lam-derivatives of its pivot
+    d, un, vn = rows[0] + edges[0], a1s[0], a2s[0]
+    for w, b, a1, a2, b1, b2 in zip(rows[1:], edges[1:-1], a1s[1:], a2s[1:],
+                                    b1s[1:], b2s[1:]):
+        p = b + d
+        if p < 0:  # as in _negative_load
             count += 1
-            if d > -floor:
-                d = -floor
-        elif d < floor:
-            d = floor
-        u = u / d
-        w = w / d
+            if p > -floor:
+                p = -floor
+            load = b * (d / p)
+            if not load <= huge:
+                load = huge if load > 0 else b
+            inv = 1.0 / p
+        else:
+            if p < floor:
+                p = floor
+            inv = 1.0 / p
+            load = b * (d * inv)
+        u = un * inv
+        v = vn * inv
+        uu = u * u
         g += u
-        h += u * u - w
+        h += uu - v
+        # the lam-derivatives of q = c/p are r1 - q u and
+        # c''/p - 2 r1 u - q (v - 2 u^2)
+        q = b * b * inv
+        r1 = b1 * inv
+        vn = a2 - b2 * inv + 2.0 * r1 * u + q * (v - 2.0 * uu)
+        un = a1 - r1 + q * u
+        d = w + load
+    p = d + edges[-1]
+    if p < 0:
+        count += 1
+        p = min(p, -floor)
+    elif p < floor:
+        p = floor
+    u = un / p
+    g += u
+    h += u * u - vn / p
     return count, g, h
 
 
@@ -430,18 +551,24 @@ def _width_tol(*ends: float) -> float:
     return max(BISECT_TOL, 4 * math.ulp(max(abs(v) for v in ends)))
 
 
+def _half_width(est: float) -> float:
+    """How far either side of an estimate its two certifying probes go:
+    half the final bracket width, less the rounding of est +- the result,
+    so that the two probes leave a bracket no wider than :func:`_width_tol`."""
+    return 0.5 * _width_tol(est) - math.ulp(est)
+
+
 def lowest_eigenvalues(diag, offdiag, count: int) -> list[float]:
     """Lowest eigenvalues of a symmetric tridiagonal matrix, each certified
     by Sturm counts to a bracket no wider than max(BISECT_TOL, 4 ulp).
     Matrix-level entry point; the grid solvers build on it."""
-    return _lowest_eigenvalues(*_matrix(diag, offdiag), count)[0]
+    return _lowest_eigenvalues(*_form(diag, offdiag), count)[0]
 
 
-def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
+def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
                         certify: bool = True) -> tuple[list[float], int]:
-    """The lowest `count` eigenvalues of the matrix with diagonal ``diag``
-    and squared couplings ``off2`` (sequences or float arrays), and the
-    number of Sturm sweeps spent.
+    """The lowest `count` eigenvalues of L(edges) + diag(pot) (float
+    arrays, :func:`_form`), and the number of Sturm sweeps spent.
 
     Each value is the midpoint of a bracket [lo, hi] no wider than
     max(BISECT_TOL, 4 ulp) whose ends carry Sturm counts: at most k
@@ -450,12 +577,13 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
     the sweeps of earlier levels certified.  A level's bracket is bisected
     until it holds exactly one eigenvalue; from there (or from a seed with
     k or k + 1 eigenvalues below it) Laguerre steps, safeguarded by the
-    bracket, replace bisection.  Once a step falls below what the sweep can
-    resolve, or Laguerre's cubic convergence puts the error left after a
-    step of length dist below half the final bracket width (dist (dist /
-    gap)^2, gap being the distance to the nearest other seed or solved
-    level), count-only probes around the estimate, widened after each miss,
-    certify the final bracket.  Every sweep runs on the odd/even reduction
+    bracket, replace bisection.  Once a step crosses the level or falls
+    below the final bracket width, or Laguerre's cubic convergence puts the
+    error left after a step of length dist below half the final bracket
+    width (dist (dist / gap)^2, gap being the distance to the nearest other
+    seed or solved level), count-only probes either side of the estimate
+    (:func:`_half_width`), widened after each miss, certify the final
+    bracket.  Every sweep runs on the odd/even reduction
     of the matrix (:func:`_sturm`, :func:`_laguerre_sweep`).  Without
     ``certify`` a level stops at its converged Laguerre estimate instead,
     which is all a seed for a finer matrix needs.
@@ -465,19 +593,15 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
     decides what it is worth: a wrong seed or a wrong convergence estimate
     costs sweeps, never accuracy.
     """
-    diag = np.asarray(diag, dtype=float)
-    off2 = np.asarray(off2, dtype=float)
-    n = diag.size
+    n = pot.size
     count = min(count, n)
-    radius = math.sqrt(off2.max()) if off2.size else 0.0
-    bottom = float(diag.min()) - 2 * radius  # Gershgorin bounds
-    top = float(diag.max()) + 2 * radius
-    dominance = _dominance_floor(diag, off2)
+    # L(edges) lies between 0 and twice the diagonal of its edge weights
+    bottom = float(pot.min())
+    top = float(pot.max()) + 4.0 * float(edges.max())
+    tail = _tail_floor(pot)
     lo, hi = [bottom] * count, [top] * count
     clo = [0] * count  # eigenvalues below lo[k]
     chi = [n] * count  # eigenvalues below hi[k]
-    # a sweep resolves eigenvalues to a few ulp of the matrix norm only
-    resolution = _width_tol(bottom, top)
     sweeps = 0
     out: list[float] = []
     for k in range(count):
@@ -497,9 +621,11 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
             if hi[k] - lo[k] <= _width_tol(lo[k], hi[k]):
                 break
             if kind == "laguerre":
-                c, g, h = _laguerre_sweep(diag, off2, x)
+                c, g, h = _laguerre_sweep(pot, edges, x)
             else:
-                c = _sturm(diag, off2, x, dominance)
+                # a probe's excesses do not settle in the tail: it sweeps
+                # the whole reduced matrix
+                c = _sturm(pot, edges, x, None if kind == "probe" else tail)
             sweeps += 1
             for j in range(min(c, count)):
                 if x < hi[j]:
@@ -514,12 +640,12 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
                 side = 1 if c == k else -1
                 dist = _laguerre_step(g, h, n, side)
                 z = x + side * dist
-                if math.isfinite(dist) and (side == -last_side or dist < resolution):
-                    # a step across the level, or one the sweep cannot
-                    # resolve: z is as good as the derivatives get
+                if math.isfinite(dist) and (side == -last_side or dist < _width_tol(z)):
+                    # a step across the level, or one below the final
+                    # bracket: z is as good as the derivatives get
                     kind = "probe"
                     est = min(max(z, lo[k]), hi[k])
-                    spread = max(0.5 * _width_tol(est), dist)
+                    spread = _half_width(est)
                 elif lo[k] < z < hi[k] and dist < 0.5 * steps[0]:
                     steps = [steps[1], dist]
                     x, last_side = z, side
@@ -528,7 +654,7 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
                         continue
                     # the step converged: certify z without another sweep
                     kind = "probe"
-                    est, spread = z, 0.5 * _width_tol(z)
+                    est, spread = z, _half_width(z)
             if kind == "probe" and not certify:
                 break
             if kind == "probe" and lo[k] < est - spread:
@@ -548,27 +674,21 @@ def _lowest_eigenvalues(diag, off2, count: int, seeds=(),
 
 def _operator(v_eff, x_min: float, x_max: float, intervals: int,
               units: pot.UnitsConfig):
-    """Grid points, hopping t and diagonal (a float array) of the Dirichlet
-    three-point operator on ``intervals`` uniform intervals."""
+    """Grid points, hopping t and potential (a float array) of the
+    Dirichlet three-point operator on ``intervals`` uniform intervals, which
+    is L(t) + diag(potential) with ghost edges t at both ends."""
     x = np.linspace(x_min, x_max, intervals + 1)
     h = (x_max - x_min) / intervals
     t = units.hbar**2 / (2 * units.mass * h * h)
-    diag = 2.0 * t + np.asarray(v_eff(x[1:-1]), dtype=float)
-    return x, t, diag
+    return x, t, np.array(v_eff(x[1:-1]), dtype=float)
 
 
 def _solve(v_eff, x_min: float, x_max: float, intervals: int,
            units: pot.UnitsConfig, count: int, seeds=(), certify: bool = True):
     """The lowest eigenvalues of the operator on ``intervals`` intervals,
     and the Sturm sweeps spent."""
-    _, t, diag = _operator(v_eff, x_min, x_max, intervals, units)
-    return _lowest_eigenvalues(diag, _hopping2(t, diag.size - 1), count, seeds, certify)
-
-
-def _hopping2(t: float, size: int) -> np.ndarray:
-    """The squared coupling t^2 of every row, as a read-only array that
-    stores it once."""
-    return np.broadcast_to(t * t, (size,))
+    _, t, pot = _operator(v_eff, x_min, x_max, intervals, units)
+    return _lowest_eigenvalues(pot, _edges(t, pot.size), count, seeds, certify)
 
 
 class _FDResult(tuple):
@@ -714,8 +834,9 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
     def v_eff(x):
         return pot.effective_potential(spec, l, units, x)
 
-    x, t, diag = _operator(v_eff, grid.x_min, grid.x_max, grid.n_points - 1, units)
-    lam = _lowest_eigenvalues(diag, _hopping2(t, diag.size - 1), index + 1)[0][index]
+    x, t, potential = _operator(v_eff, grid.x_min, grid.x_max, grid.n_points - 1, units)
+    lam = _lowest_eigenvalues(potential, _edges(t, potential.size), index + 1)[0][index]
+    diag = 2.0 * t + potential
 
     n = len(diag)
     sub = np.full(n - 1, -t)

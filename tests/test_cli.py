@@ -386,3 +386,50 @@ def test_unrepresentable_norm_constant_is_invalid_and_named(capsys):
     assert code == EXIT_INVALID
     assert text == ""
     assert "level n = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, params", [
+    ("rosen_morse", ["V1=1", "V2=1e33", "a=1", "eta=1"]),
+    ("rosen_morse", ["V1=1", "V2=1e40", "a=1", "eta=1"]),
+    ("woods_saxon", ["V1=1", "V2=1e40", "a=1"]),
+    ("poschl_teller", ["V0=1e40", "a=1", "eta=1"]),
+    ("morse", ["V1=100", "V2=1e64", "a=1"]),
+])
+def test_unresolvable_zero_point_is_invalid_and_named(family, params, capsys):
+    # wells that bind, but whose zero-point energy is below the rounding of
+    # their bottom: the scan found no level and the run exited 3
+    args = ["spectrum", "--potential", family]
+    for param in params:
+        args += ["--param", param]
+    code, text = run_cli(args)
+    assert code == EXIT_INVALID
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "depth" in err and "cannot resolve its zero-point energy" in err
+
+
+def test_main_reuses_one_parser_across_calls():
+    # main builds its parser once per process; later calls with other
+    # subcommands and repeated --param flags must read as first calls do
+    from specbound import cli
+
+    morse = ["--potential", "morse", "--param", "V1=100", "--param", "V2=20",
+             "--param", "a=1"]
+    argvs = [
+        ["spectrum", *morse, "--n-max", "0"],
+        ["list", "--format", "json"],
+        ["spectrum", *COULOMB, "--n-max", "1", "--format", "csv"],
+        ["wavefunction", *COULOMB, "--n", "0", "--samples", "5"],
+        ["spectrum", "--potential", "coulomb"],  # no --param left over
+        ["spectrum", *morse, "--n-max", "0"],
+        ["verify", *COULOMB, "--n-max", "1"],
+    ]
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(run_cli(argv))
+    cli._parser.cache_clear()
+    assert [run_cli(argv) for argv in argvs] == first
+    assert first[4][0] == EXIT_INVALID
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -37,11 +37,13 @@ from specbound import (
 )
 from specbound import oracle, potentials
 from specbound.oracle import (
-    _dominance_floor,
+    _edges,
+    _form,
     _laguerre_sweep,
     _levels,
     _lowest_eigenvalues,
     _sturm,
+    _tail_floor,
 )
 
 UNITS = UnitsConfig()
@@ -128,8 +130,7 @@ def test_lowest_eigenvalues_whole_spectrum(diag):
 
 def test_wrong_seeds_still_give_the_spectrum():
     n, t = 60, 1.0
-    diag = [2.0 * t] * n
-    off2 = [t * t] * (n - 1)
+    pot, edges = _form([2.0 * t] * n, [-t] * (n - 1))
     exact = [2 * t * (1 - math.cos((k + 1) * math.pi / (n + 1))) for k in range(4)]
     gap = exact[1] - exact[0]
     bad_seeds = [
@@ -140,15 +141,15 @@ def test_wrong_seeds_still_give_the_spectrum():
         [math.nan, math.inf, -math.inf, exact[3]],
         exact[:2],                            # fewer seeds than levels
     ]
-    unseeded, _ = _lowest_eigenvalues(diag, off2, 4)
+    unseeded, _ = _lowest_eigenvalues(pot, edges, 4)
     assert np.allclose(unseeded, exact, rtol=0.0, atol=1e-12)
     for seeds in bad_seeds:
-        values, _ = _lowest_eigenvalues(diag, off2, 4, seeds=seeds)
+        values, _ = _lowest_eigenvalues(pot, edges, 4, seeds=seeds)
         assert np.allclose(values, exact, rtol=0.0, atol=1e-12), seeds
     # seeds sitting exactly on eigenvalues of a decoupled matrix hit the
     # pivot floor
-    diag = [3.0, 1.0, 2.0, 1.0]
-    values, _ = _lowest_eigenvalues(diag, [0.0] * 3, 4, seeds=[1.0, 1.0, 2.0, 3.0])
+    pot, edges = _form([3.0, 1.0, 2.0, 1.0], [0.0] * 3)
+    values, _ = _lowest_eigenvalues(pot, edges, 4, seeds=[1.0, 1.0, 2.0, 3.0])
     assert np.allclose(values, [1.0, 1.0, 2.0, 3.0], rtol=0.0, atol=1e-12)
 
 
@@ -159,6 +160,17 @@ def test_sturm_sweep_budget_coulomb():
     first = fd_eigenvalues(spec, 0, UNITS, count=3)
     at_h, at_half_h = first.sturm_sweeps
     assert at_h <= 50 and at_half_h <= 30
+    assert fd_eigenvalues(spec, 0, UNITS, count=3).sturm_sweeps == first.sturm_sweeps
+
+
+def test_sturm_sweep_budget_pseudoharmonic():
+    # three pseudoharmonic levels on the default grid: 33 sweeps at h and 40
+    # at h/2 before the sweeps resolved a level to ~1e-15, when counts and
+    # Laguerre estimates disagreed by up to 6e-11 and probes had to widen
+    spec = Pseudoharmonic(V0=2.0, r0=1.0)
+    first = fd_eigenvalues(spec, 0, UNITS, count=3)
+    at_h, at_half_h = first.sturm_sweeps
+    assert at_h <= 24 and at_half_h <= 14
     assert fd_eigenvalues(spec, 0, UNITS, count=3).sturm_sweeps == first.sturm_sweeps
 
 
@@ -185,28 +197,39 @@ def test_seed_solve_stops_at_converged_estimates():
         return effective_potential(Coulomb(e2=1.0), 0, UNITS, x)
 
     intervals = 5999 // oracle.SEED_COARSENING
-    _, t, diag = oracle._operator(v_eff, 0.0, 80.0, intervals, UNITS)
-    off2 = np.full(diag.size - 1, t * t)
-    certified, certified_sweeps = _lowest_eigenvalues(diag, off2, 3)
-    estimates, sweeps = _lowest_eigenvalues(diag, off2, 3, certify=False)
+    _, t, pot = oracle._operator(v_eff, 0.0, 80.0, intervals, UNITS)
+    edges = _edges(t, pot.size)
+    certified, certified_sweeps = _lowest_eigenvalues(pot, edges, 3)
+    estimates, sweeps = _lowest_eigenvalues(pot, edges, 3, certify=False)
     assert sweeps < certified_sweeps
     assert np.allclose(estimates, certified, rtol=0.0, atol=1e-10)
 
 
-def _full_sturm(diag, off2, lam):
-    """The pivot recursion over every row: the count the early exit of
-    _sturm must reproduce."""
-    count = 0
-    d = 1.0
-    for i, a in enumerate(diag):
-        d = (a - lam) - (off2[i - 1] / d if i else 0.0)
-        if d < 0:
-            count += 1
-            if d > -1e-300:
-                d = -1e-300
-        elif d < 1e-300:
-            d = 1e-300
-    return count
+def _excess_loads(pot, edges, lam):
+    """The unreduced pivot recursion in excess form over every row of
+    L(edges) + diag(pot - lam): for each pivot p = b + delta, with b the
+    edge to the next row (the ghost edge after the last row), the tuple
+    (p, b, delta, next row's w or None).  A pivot is negative exactly when
+    delta < -b; a floored one and an excess of -inf load the next row as
+    _sturm does."""
+    rows = (np.asarray(pot, dtype=float) - lam).tolist()
+    d = rows[0] + float(edges[0])
+    for b, w in zip(np.asarray(edges, dtype=float)[1:].tolist(), rows[1:] + [None]):
+        p = b + d
+        yield p, b, d, w
+        if w is None:
+            return
+        if p < 0:
+            load = b if d == -math.inf else min(b * (d / min(p, -1e-300)), 1e300)
+        else:
+            load = b * (d / max(p, 1e-300))
+        d = w + load
+
+
+def _full_sturm(pot, edges, lam):
+    """The pivot recursion over every row: the count the early exit and
+    the reduction of _sturm must reproduce."""
+    return sum(p < 0 for p, *_ in _excess_loads(pot, edges, lam))
 
 
 def _offdiagonals(n):
@@ -222,40 +245,33 @@ def test_early_exit_sturm_count_matches_full_recursion(data):
     n = data.draw(st.integers(1, 40))
     diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
     off = data.draw(_offdiagonals(n))
-    off2 = [b * b for b in off]
-    dominance = _dominance_floor(diag, off2)
+    pot, edges = _form(diag, off)
+    tail = _tail_floor(pot)
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     # shifts on, next to and far from the eigenvalues and the thresholds
-    anchors = [*np.linalg.eigvalsh(matrix), *dominance[np.isfinite(dominance)], 0.0]
+    anchors = [*np.linalg.eigvalsh(matrix), *tail[np.isfinite(tail)], 0.0]
     anchor = float(data.draw(st.sampled_from(anchors)))
     offset = data.draw(st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 100.0, -100.0]),
                                  st.floats(-1e-12, 1e-12), st.floats(-30.0, 30.0)))
     for lam in (anchor + offset, math.nextafter(anchor, math.inf),
                 math.nextafter(anchor, -math.inf)):
-        assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam)
+        assert _sturm(pot, edges, lam, tail) == _full_sturm(pot, edges, lam)
 
 
 def test_early_exit_sturm_with_infinite_diagonal_entries():
-    # a row with an infinite diagonal has no dominance margin (inf - inf):
-    # no sweep may stop before it on its account
+    # a row with an infinite diagonal is clamped to HUGE and splits the
+    # matrix: no sweep may stop before it on its account, and the counts
+    # are those of the blocks on either side
     inf = math.inf
     for diag in ([5.0, inf, -3.0, 10.0], [inf, 1.0, -2.0, 4.0, 9.0],
                  [1.0, -inf, 2.0, 8.0], [2.0, 3.0, inf, -1.0, inf, 0.5, 7.0]):
-        off2 = [1.0] * (len(diag) - 1)
-        dominance = _dominance_floor(diag, off2)
+        pot, edges = _form(diag, [1.0] * (len(diag) - 1))
+        tail = _tail_floor(pot)
+        eigenvalues = _block_eigenvalues(diag, [1.0] * (len(diag) - 1))
         for lam in (-20.0, -5.0, 0.0, 0.5, 1.0, 3.0, 6.5, 20.0):
-            assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam)
-
-
-class _CountingRows(list):
-    """A diagonal that counts the rows a sweep reads."""
-
-    read = 0
-
-    def __iter__(self):
-        for a in list.__iter__(self):
-            self.read += 1
-            yield a
+            count = _sturm(pot, edges, lam, tail)
+            assert count == _full_sturm(pot, edges, lam)
+            assert count == int(np.sum(eigenvalues < lam))
 
 
 @pytest.mark.parametrize("spec, grid", [
@@ -263,22 +279,28 @@ class _CountingRows(list):
     (GeneralizedMorse(100.0, 20.0, 1.0), RadialGrid(-2.3, 21.4, 4000)),
     (DeformedRosenMorse(4.0, 8.0, 0.5, 1.0), RadialGrid(-30.0, 30.0, 4000)),
 ])
-def test_early_exit_sturm_on_oracle_matrices(spec, grid):
-    x = grid.points()
-    t = 1.0 / (2 * grid.h**2)
-    diag = (2 * t + effective_potential(spec, 0, UNITS, x[1:-1])).tolist()
-    off2 = [t * t] * (len(diag) - 1)
-    dominance = _dominance_floor(diag, off2)
-    levels = _lowest_eigenvalues(diag, off2, 2)[0]
+def test_early_exit_sturm_on_oracle_matrices(spec, grid, monkeypatch):
+    pot, edges, _ = _oracle_matrix(spec, grid)
+    tail = _tail_floor(pot)
+    levels = _lowest_eigenvalues(pot, edges, 2)[0]
     lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
-    lams += [float(v) for v in dominance[:: len(diag) // 7]]
+    lams += [float(v) for v in tail[:: pot.size // 7]]
     for lam in lams:
-        assert _sturm(diag, off2, lam, dominance) == _full_sturm(diag, off2, lam), lam
+        assert _sturm(pot, edges, lam, tail) == _full_sturm(pot, edges, lam), lam
     # a count between the two lowest levels stops once the pivots settle in
-    # the classically forbidden tail (half the grid for the centred well)
-    rows = _CountingRows(diag)
-    assert _sturm(rows, off2, 0.5 * (levels[0] + levels[1]), dominance) == 1
-    assert rows.read < 0.6 * len(diag)
+    # the classically forbidden tail (half the grid for the centred well):
+    # it hands no rest of the matrix to a reduction, and reads at most
+    # EXIT_WINDOW rows past the lead
+    read = []
+    sweep_rows = oracle._sweep_rows
+
+    def counted(w, *args, **kwargs):
+        read.append(w.size)
+        return sweep_rows(w, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_sweep_rows", counted)
+    assert _sturm(pot, edges, 0.5 * (levels[0] + levels[1]), tail) == 1
+    assert sum(read) + oracle.EXIT_WINDOW < 0.6 * pot.size
 
 
 def test_oracle_never_calls_the_closed_form(monkeypatch):
@@ -310,10 +332,11 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
     def dense(intervals):
         x = np.linspace(grid.x_min, grid.x_max, intervals + 1)
         t = 1.0 / (2 * ((grid.x_max - grid.x_min) / intervals) ** 2)
-        diag = 2 * t + v_eff(x[1:-1])
+        pot = v_eff(x[1:-1])
+        diag = 2 * t + pot
         off = np.full(diag.size - 1, -t)
         matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return diag.tolist(), [t * t] * off.size, np.linalg.eigvalsh(matrix)[:3]
+        return diag.tolist(), (pot, _edges(t, pot.size)), np.linalg.eigvalsh(matrix)[:3]
 
     def tolerance(diag):
         # the 1e-12 bracket plus rounding of the Sturm recursion and of
@@ -327,8 +350,8 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
     diag, _, exact = dense(grid.n_points - 1)
     assert np.allclose(solved[0], exact, rtol=0.0, atol=tolerance(diag))
     # h/2, seeded from h
-    diag, off2, exact = dense(2 * (grid.n_points - 1))
-    values, _ = _lowest_eigenvalues(diag, off2, 3, seeds=list(solved[0]))
+    diag, operator, exact = dense(2 * (grid.n_points - 1))
+    values, _ = _lowest_eigenvalues(*operator, 3, seeds=list(solved[0]))
     assert np.allclose(values, exact, rtol=0.0, atol=tolerance(diag))
 
 
@@ -337,25 +360,26 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
 EPS = np.finfo(float).eps
 
 
-def _full_laguerre(diag, off2, lam):
-    """The count, g and h of the pivot recursion over every row of T - lam:
-    the unreduced Laguerre sweep the reduced one replaces."""
+def _full_laguerre(pot, edges, lam):
+    """The count, g and h of the pivot recursion in excess form over every
+    row of T - lam: the unreduced Laguerre sweep the reduced one replaces.
+    Each pivot p_i = b_i + delta_i has p_i' = -1 + q u and p_i'' = q (v -
+    2 u^2), with q = b_(i-1)^2 / p_(i-1), u and v the previous pivot's
+    p'/p and p''/p."""
     floor = 1e-300
-    count, d, u, w, g, h = 0, 1.0, 0.0, 0.0, 0.0, 0.0
-    for i, a in enumerate(diag):
-        q = off2[i - 1] / d if i else 0.0
-        w = q * (w - 2.0 * u * u)
-        d = (a - lam) - q
-        if d < 0:
+    count, g, h = 0, 0.0, 0.0
+    u1, u2 = -1.0, 0.0  # p' and p'' of the current pivot
+    for p, b, _, w in _excess_loads(pot, edges, lam):
+        if p < 0:
             count += 1
-            if d > -floor:
-                d = -floor
-        elif d < floor:
-            d = floor
-        u = (q * u - 1.0) / d
-        w = w / d
+            p = min(p, -floor)
+        else:
+            p = max(p, floor)
+        u, v = u1 / p, u2 / p
         g += u
-        h += u * u - w
+        h += u * u - v
+        q = b * b / p
+        u1, u2 = -1.0 + q * u, q * (v - 2.0 * u * u)
     return count, g, h
 
 
@@ -400,15 +424,13 @@ def _band(diag, off):
     return 64 * EPS * 3 * max(finite, default=1.0)
 
 
-def _assert_count_matches(diag, off, lam, eigenvalues, dominance=None):
+def _assert_count_matches(diag, off, lam, eigenvalues):
     """The reduced count equals the full recursion's, except within a few
     ulp of the matrix's scale of an eigenvalue: there both counts are ones a
     rounding of T can give, and may differ."""
-    off2 = [b * b for b in off]
-    if dominance is None:
-        dominance = _dominance_floor(diag, off2)
-    got = _sturm(diag, off2, lam, dominance)
-    want = _full_sturm(diag, off2, lam)
+    pot, edges = _form(diag, off)
+    got = _sturm(pot, edges, lam, _tail_floor(pot))
+    want = _full_sturm(pot, edges, lam)
     if got != want:
         band = _band(diag, off)
         below = int(np.sum(eigenvalues < lam - band))
@@ -485,17 +507,17 @@ def test_reduced_laguerre_sweep_is_as_accurate_as_the_full_one(data):
     floor = data.draw(st.sampled_from([4, 8, 16]))
     n = data.draw(st.integers(2, 8 * floor))
     diag, off = data.draw(_tridiagonals(n))
-    off2 = [b * b for b in off]
+    pot, edges = _form(diag, off)
     eigenvalues = _block_eigenvalues(diag, off)
     scale = 3 * max(abs(v) for v in [*diag, *off, 1e-3])
     lam = _shift(data, diag, off, eigenvalues) + data.draw(
         st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.floats(-5.0, 0.0)) * scale
     assume(np.min(np.abs(lam - eigenvalues)) >= 1e-6 * scale)
-    full = _full_laguerre(diag, off2, lam)
+    full = _full_laguerre(pot, edges, lam)
     # an exactly zero leading pivot is floored, and g, h are then not finite
     assume(math.isfinite(full[1]) and math.isfinite(full[2]))
     with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
-        reduced = _laguerre_sweep(np.array(diag), np.array(off2), lam)
+        reduced = _laguerre_sweep(pot, edges, lam)
     _assert_laguerre_accuracy(reduced, full, eigenvalues, lam)
 
 
@@ -517,10 +539,11 @@ _HALF_STEP_MATRICES = [
 
 
 def _oracle_matrix(spec, grid):
+    """The oracle's operator on the grid as L(t) + diag(V_eff), and t."""
     x = grid.points()
     t = 1.0 / (2 * grid.h**2)
-    diag = 2 * t + effective_potential(spec, 0, UNITS, x[1:-1])
-    return diag, np.full(diag.size - 1, t * t), t
+    pot = effective_potential(spec, 0, UNITS, x[1:-1])
+    return pot, _edges(t, pot.size), t
 
 
 @pytest.mark.parametrize("spec, grid", _HALF_STEP_MATRICES)
@@ -528,17 +551,18 @@ def test_reduced_sweeps_on_oracle_matrices(spec, grid):
     # the matrices of test_early_exit_sturm_on_oracle_matrices at h/2, with
     # every eigenvalue from LAPACK as the reference
     linalg = pytest.importorskip("scipy.linalg")
-    diag, off2, t = _oracle_matrix(spec, grid)
-    eigenvalues = linalg.eigvalsh_tridiagonal(diag, np.full(off2.size, -t))
-    diag_list, off_list = diag.tolist(), [-t] * off2.size
-    dominance = _dominance_floor(diag, off2)
-    levels = _lowest_eigenvalues(diag, off2, 2)[0]
+    pot, edges, t = _oracle_matrix(spec, grid)
+    diag = 2 * t + pot
+    eigenvalues = linalg.eigvalsh_tridiagonal(diag, np.full(pot.size - 1, -t))
+    diag_list, off_list = diag.tolist(), [-t] * (pot.size - 1)
+    tail = _tail_floor(pot)
+    levels = _lowest_eigenvalues(pot, edges, 2)[0]
     lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
     lams += [v for level in levels for v in (math.nextafter(level, math.inf),
                                              math.nextafter(level, -math.inf))]
-    lams += [float(v) for v in dominance[:: diag.size // 7]]
+    lams += [float(v) for v in tail[:: pot.size // 7]]
     for lam in lams:
-        _assert_count_matches(diag_list, off_list, lam, eigenvalues, dominance)
+        _assert_count_matches(diag_list, off_list, lam, eigenvalues)
     norm = float(np.max(np.abs(diag)) + 2 * t)
     checked = 0
     for level in levels:
@@ -546,8 +570,8 @@ def test_reduced_sweeps_on_oracle_matrices(spec, grid):
             lam = level + rel * norm
             if np.min(np.abs(lam - eigenvalues)) < 1e-6 * norm:
                 continue
-            full = _full_laguerre(diag_list, off2.tolist(), lam)
-            reduced = _laguerre_sweep(diag, off2, lam)
+            full = _full_laguerre(pot, edges, lam)
+            reduced = _laguerre_sweep(pot, edges, lam)
             _assert_laguerre_accuracy(reduced, full, eigenvalues, lam)
             scale = np.abs(1.0 / (lam - eigenvalues)).sum()
             assert abs(reduced[1] - full[1]) <= 1e-9 * scale
@@ -561,24 +585,60 @@ def test_sweeps_run_the_recursion_on_a_fraction_of_the_rows(monkeypatch):
     # (whose pivots never settle in the tail) the lead and the rest reduced
     # apart, plus the rows of the exit window
     spec, grid = _HALF_STEP_MATRICES[0]
-    diag, off2, _ = _oracle_matrix(spec, grid)
+    pot, edges, _ = _oracle_matrix(spec, grid)
     rows = []
     for name in ("_pivots", "_laguerre_pivots"):
         kernel = getattr(oracle, name)
 
         def counted(values, *args, kernel=kernel):
-            values = list(values)
             rows.append(len(values))
             return kernel(values, *args)
 
         monkeypatch.setattr(oracle, name, counted)
-    level = _lowest_eigenvalues(diag, off2, 1)[0][0]
+    level = _lowest_eigenvalues(pot, edges, 1)[0][0]
     rows.clear()
-    _laguerre_sweep(diag, off2, level + 1e-3)
-    assert sum(rows) <= diag.size // 16
+    _laguerre_sweep(pot, edges, level + 1e-3)
+    assert sum(rows) <= pot.size // 16
     rows.clear()
-    assert _sturm(diag, off2, level, _dominance_floor(diag, off2)) in (0, 1)
-    assert sum(rows) <= diag.size // 16 + oracle.EXIT_WINDOW
+    assert _sturm(pot, edges, level, _tail_floor(pot)) in (0, 1)
+    assert sum(rows) <= pot.size // 16 + oracle.EXIT_WINDOW
+
+
+def _exact_sturm_count(pot, t, lam):
+    """The Sturm count of the three-point operator, diagonal 2t + V and
+    couplings -t, at lam, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        shifted = [2 * t + mpmath.mpf(v) - mpmath.mpf(lam) for v in pot.tolist()]
+        t2 = t * t
+        count, d = 0, None
+        for a in shifted:
+            d = a if d is None else a - t2 / d
+            count += d < 0
+    return count
+
+
+@pytest.mark.parametrize("spec", [Coulomb(e2=1.0), Pseudoharmonic(V0=2.0, r0=1.0)],
+                         ids=["coulomb", "pseudoharmonic"])
+def test_certified_levels_hold_against_exact_counts(spec):
+    # the certified value of each of the three lowest levels at h and at h/2
+    # lies within 1e-12 of the exact count transition of the same operator:
+    # sweeps that stored 2t + V resolved it only to a few ulp of 4t (they
+    # missed by 1.5e-12 on Coulomb and by 5.6e-11 on pseudoharmonic, k = 2)
+    def v_eff(x):
+        return effective_potential(spec, 0, UNITS, x)
+
+    base = default_grid(spec, 0, UNITS, n_max=2)
+    for intervals in (base.n_points - 1, 2 * (base.n_points - 1)):
+        grid = RadialGrid(base.x_min, base.x_max, intervals + 1)
+        values, _ = fd_eigenvalues_from_callable(v_eff, grid, UNITS, count=3, refine=False)
+        h = (grid.x_max - grid.x_min) / intervals
+        t = UNITS.hbar**2 / (2 * UNITS.mass * h * h)
+        pot = v_eff(np.linspace(grid.x_min, grid.x_max, intervals + 1)[1:-1])
+        for k, value in enumerate(values):
+            assert _exact_sturm_count(pot, t, value - 1e-12) == k, (intervals, k)
+            assert _exact_sturm_count(pot, t, value + 1e-12) == k + 1, (intervals, k)
 
 
 # ------------------------------------------------------------ scale covariance
@@ -595,16 +655,16 @@ def test_sweeps_are_exactly_covariant_under_power_of_two_scaling(data):
     n = data.draw(st.integers(1, 8 * floor))
     diag, off = data.draw(_tridiagonals(n, normal))
     lam = data.draw(st.one_of(normal, st.sampled_from(diag)))
-    diag, off2 = np.array(diag), np.array(off) ** 2
-    dominance = _dominance_floor(diag, off2)
+    pot, edges = _form(diag, off)
+    tail = _tail_floor(pot)
     with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
-        count = _sturm(diag, off2, lam, dominance)
-        sweep = _laguerre_sweep(diag, off2, lam)
+        count = _sturm(pot, edges, lam, tail)
+        sweep = _laguerre_sweep(pot, edges, lam)
         for s in (0.25, 4.0, 1024.0):
-            scaled = _dominance_floor(s * diag, s * s * off2)
-            assert np.array_equal(scaled, s * dominance)
-            assert _sturm(s * diag, s * s * off2, s * lam, scaled) == count
-            c, g, h = _laguerre_sweep(s * diag, s * s * off2, s * lam)
+            scaled = _tail_floor(s * pot)
+            assert np.array_equal(scaled, s * tail)
+            assert _sturm(s * pot, s * edges, s * lam, scaled) == count
+            c, g, h = _laguerre_sweep(s * pot, s * edges, s * lam)
             assert c == sweep[0]
             if abs(sweep[1]) < 1e100 and sweep[2] < 1e100:
                 assert (g, h) == (sweep[1] / s, sweep[2] / (s * s))
