@@ -37,9 +37,8 @@ count-only sweep reduces the rows before the classically forbidden tail of
 the matrix, from where every w >= 0, and stops, with the exact count, at
 the first excess >= 0 there: every later excess stays >= 0, in floating
 point too.  Where that takes more than EXIT_WINDOW rows, as next to an
-eigenvalue, it reduces the rest of the matrix, all of whose pivots are
-safe, without tests, and counts it.  Every level ends in a count-certified
-bracket no wider than max(BISECT_TOL, 4 ulp).
+eigenvalue, it reduces and counts the rest of the matrix.  Every level ends
+in a count-certified bracket no wider than max(BISECT_TOL, 4 ulp).
 
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
@@ -135,9 +134,10 @@ def _form(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     T = L(edges) + diag(pot), both float64 arrays.
 
     The edge weights are |offdiag|, with a ghost edge of weight 0 at either
-    end, and pot_i = diag_i - edges_i - edges_(i+1).  Entries are clamped to
-    +-HUGE, so that an infinite diagonal entry stays a number: such a row
-    splits the matrix, and so does one of weight HUGE.
+    end, and pot_i = diag_i - edges_i - edges_(i+1).  Infinite values are
+    clamped to +-HUGE, so that an infinite diagonal entry stays a number:
+    such a row splits the matrix, and so does one of weight HUGE.  Finite
+    entries are kept as they are.
     """
     diag = np.array(diag, dtype=float).reshape(-1)
     off = np.array(offdiag, dtype=float).reshape(-1)
@@ -145,10 +145,11 @@ def _form(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidParameters("offdiag must be one element shorter than diag")
     edges = np.zeros(diag.size + 1)
     np.abs(off, out=edges[1:-1])
-    np.minimum(edges, HUGE, out=edges)
-    with np.errstate(invalid="ignore"):
+    edges[np.isinf(edges)] = HUGE
+    with np.errstate(over="ignore", invalid="ignore"):
         pot = diag - edges[:-1] - edges[1:]
-    np.clip(pot, -HUGE, HUGE, out=pot)
+    infinite = np.isinf(pot)
+    pot[infinite] = np.copysign(HUGE, pot[infinite])
     return pot, edges
 
 
@@ -185,12 +186,8 @@ def _levels(rows: int) -> int:
 
 def _odd_pivots(w: np.ndarray, e: np.ndarray):
     """The edges to the left and to the right of every odd row k of L(e) +
-    diag(w), one float for both when every edge has the same weight, and
-    the pivots p_k = e_k + e_(k+1) + w_k."""
+    diag(w), and the pivots p_k = e_k + e_(k+1) + w_k."""
     odd = w.size // 2
-    if e.strides[0] == 0:  # one weight for every edge, as the operator's
-        left = right = float(e[0])
-        return left, right, w[1::2] + (left + right)
     left = e[1:2 * odd:2]
     right = e[2:2 * odd + 1:2]
     p = left + right
@@ -198,9 +195,9 @@ def _odd_pivots(w: np.ndarray, e: np.ndarray):
     return left, right, p
 
 
-def _halve(w: np.ndarray, e: np.ndarray, checked: bool = True):
+def _halve(w: np.ndarray, e: np.ndarray):
     """One odd/even (Kron) reduction level of L(e) + diag(w), or None when
-    ``checked`` and a pivot is not safe to eliminate.
+    a pivot is not safe to eliminate.
 
     Eliminating odd row k, of pivot p = b_l + b_r + w_k, gives each even
     neighbour the load b w_k / p through its edge b, and joins the two by
@@ -210,7 +207,7 @@ def _halve(w: np.ndarray, e: np.ndarray, checked: bool = True):
     """
     left, right, p = _odd_pivots(w, e)
     r = w[1::2] / p
-    if checked and not np.abs(r).max() < 1.0:
+    if not np.abs(r).max() < 1.0:
         return None
     return _joined(w, e, left, right, r, right / p)
 
@@ -219,7 +216,7 @@ def _joined(w, e, left, right, r, right_share):
     """The complement's (w, e) after the odd rows with the given edges,
     load shares r = w_k / p and right edge shares b_r / p are eliminated."""
     load = left * r
-    even = _loaded(w[0::2].copy(), load, load if left is right else right * r, np.add)
+    even = _loaded(w[0::2].copy(), load, right * r, np.add)
     edges = np.empty(even.size + 1)
     edges[0], edges[-1] = e[0], e[-1]
     np.multiply(left, right_share, out=edges[1:r.size + 1])
@@ -237,11 +234,10 @@ def _loaded(even, left, right, op):
     return even
 
 
-def _reduce(w: np.ndarray, e: np.ndarray, levels: int, checked: bool = True):
+def _reduce(w: np.ndarray, e: np.ndarray, levels: int):
     """(w, e) of the Schur complement left by up to ``levels`` odd/even
     reductions of L(e) + diag(w), stopping at the first level with a pivot
-    that is not safe (:func:`_halve`); with ``checked`` false every pivot
-    is taken as safe.
+    that is not safe (:func:`_halve`).
 
     Row 0 and, when len(w) - 1 is a multiple of 2^levels, the last row are
     kept, with their ghost edges.  The eliminated pivots are positive, so by
@@ -249,7 +245,7 @@ def _reduce(w: np.ndarray, e: np.ndarray, levels: int, checked: bool = True):
     eigenvalues as the matrix.
     """
     for _ in range(levels):
-        halved = _halve(w, e, checked)
+        halved = _halve(w, e)
         if halved is None:
             break
         w, e = halved
@@ -300,12 +296,12 @@ def _pivots(rows, edges, d: float, count: int):
 
 
 def _sweep_rows(w: np.ndarray, e: np.ndarray, head: float, levels: int,
-                count: int, checked: bool = True):
+                count: int):
     """The pivot recursion over the rows (w, e) after up to ``levels``
     reductions (:func:`_reduce`), row 0 starting from the excess w_0 +
     head; returns the new count, the last row's excess and its right edge.
     The reduction never reads e_0, so ``head`` stands in for it."""
-    w, e = _reduce(w, e, levels, checked)
+    w, e = _reduce(w, e, levels)
     count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + head, count)
     return count, d, float(e[-1])
 
@@ -323,9 +319,9 @@ def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float, tail) -> int:
     w >= 0 every later excess is >= 0 as well, in floating point too, and
     no later pivot is negative.  Close to an eigenvalue the excesses can
     take many rows to get there; after EXIT_WINDOW rows the rest of the
-    matrix, whose pivots are all safe, is reduced without tests and
-    counted instead.  With ``tail`` None the whole matrix is the lead: one
-    reduction, cheaper where the sweep would not stop early anyway.
+    matrix is reduced and counted instead.  With ``tail`` None the whole
+    matrix is the lead: one reduction, cheaper where the sweep would not
+    stop early anyway.
     """
     n = pot.size
     plain = n if tail is None else int(np.searchsorted(tail, lam))
@@ -364,11 +360,8 @@ def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float, tail) -> int:
     else:
         head = b * (d / max(p, floor))
     with np.errstate(all="ignore"):
-        rest = pot[stop:] - lam
-        levels = _levels(n - stop)
-        total, d, right = _sweep_rows(rest, edges[stop:], head, levels, count, False)
-        if d != d:  # a pivot that vanished in the reduction: take the safe way
-            total, d, right = _sweep_rows(rest, edges[stop:], head, levels, count)
+        total, d, right = _sweep_rows(pot[stop:] - lam, edges[stop:], head,
+                                      _levels(n - stop), count)
     return total + (d + right < 0)
 
 
@@ -405,25 +398,26 @@ def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
     g = h = 0.0
     for _ in range(levels):
         left, right, p = _odd_pivots(w, e)
-        inv = 1.0 / p
+        inv = np.divide(1.0, p, out=p)
         r = w[1::2] * inv
         if not np.abs(r).max() < 1.0:
             break
         right_share = right * inv
         x = left * left * inv  # the loads b^2 / p on either neighbour
-        y = x if left is right else right * right_share
-        odd, evens = p.size, (w.size + 1) // 2
+        y = right * right_share
+        odd, evens = inv.size, (w.size + 1) // 2
+        # the complement first, so that w is freed before the jets are built
+        w, e = _joined(w, e, left, right, r, right_share)
         if isinstance(s1, float):
             # T - lam, p' = -1 and edges free of lam: (1/p)' = 1/p^2, so
             # x' = x/p, x'' = 2 x/p^2, and the same for y and for c = x y
             g -= float(inv.sum())
             h += float(np.dot(inv, inv))
             x1 = x * inv
-            y1 = x1 if y is x else y * inv
+            y1 = y * inv
             s1 = _loaded(np.full(evens, -1.0), x1, y1, np.subtract)
             x1 *= inv
-            if y1 is not x1:
-                y1 *= inv
+            y1 *= inv
             s2 = _loaded(np.zeros(evens), x1, y1, np.subtract)
             s2 *= 2.0
             c1 = np.zeros(evens + 1)
@@ -466,7 +460,6 @@ def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
             x1 *= y1
             inner += x1
             inner += x1
-        w, e = _joined(w, e, left, right, r, right_share)
     return (w, e, s1, s2, c1, c2), g, h
 
 
@@ -609,7 +602,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
         if seed is not None and lo[k] < seed < hi[k]:
             x, kind = seed, "laguerre"
         else:
-            x, kind = 0.5 * (lo[k] + hi[k]), "bisect"
+            x, kind = 0.5 * lo[k] + 0.5 * hi[k], "bisect"
         neighbours = out + [v for j, v in enumerate(seeds)
                             if j != k and math.isfinite(v)]
         est = spread = 0.0
@@ -650,7 +643,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
                     steps = [steps[1], dist]
                     x, last_side = z, side
                     gap = min((abs(z - v) for v in neighbours), default=0.0)
-                    if dist**3 >= 0.5 * _width_tol(z) * gap * gap:
+                    if dist * dist * dist >= 0.5 * _width_tol(z) * gap * gap:
                         continue
                     # the step converged: certify z without another sweep
                     kind = "probe"
@@ -662,13 +655,14 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
             elif kind == "probe" and est + spread < hi[k]:
                 x = est + spread
             else:
-                x = 0.5 * (lo[k] + hi[k])
+                x = 0.5 * lo[k] + 0.5 * hi[k]
                 steps = [steps[1], 0.5 * (hi[k] - lo[k])]
                 last_side = 0
                 if kind != "probe":
                     isolated = clo[k] == k and chi[k] == k + 1
                     kind = "laguerre" if isolated else "bisect"
-        out.append(est if kind == "probe" and not certify else 0.5 * (lo[k] + hi[k]))
+        mid = 0.5 * lo[k] + 0.5 * hi[k]
+        out.append(est if kind == "probe" and not certify else mid)
     return out, sweeps
 
 

@@ -1095,9 +1095,9 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     norm integral of every catalog state is a Laguerre or Jacobi weight
     integral with a closed form, evaluated in log space from the declared
     Jacobian of the coordinate map; no grid is involved.  The list ends
-    early when a finite well runs out of levels.  A well that yields no
-    level because float64 cannot resolve its zero-point energy above its
-    bottom raises InvalidParameters naming the depth.
+    early when a finite well runs out of levels.  A well whose list ends
+    before n_max because float64 cannot resolve its zero-point energy above
+    its bottom raises InvalidParameters naming the depth.
     """
     _validate_l(spec, l)
     if n_max < 0:
@@ -1135,20 +1135,21 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
                                  coefficients=pc, cmap=cmap,
                                  norm_constant=norm_constant))
         floor_e = energy + 1e-11 * max(abs(energy), 1.0)
-    if not states and isinstance(spec, _Well):
+    if len(states) <= n_max and isinstance(spec, _Well):
         _check_zero_point(spec, units, lo)
     return states
 
 
 def _check_zero_point(spec, units: UnitsConfig, bottom: float) -> None:
     """Raise InvalidParameters, naming the depth, when a well's zero-point
-    energy is below 64 ulp of its bottom: float64 cannot place a level
-    there, and the scan finds none although the well binds.
+    energy is below 64 ulp of its bottom: float64 cannot place its levels
+    apart there, and the scan finds fewer than the well binds.
 
     The zero-point energy is the harmonic one, (hbar/2) sqrt(V''/m), with
-    V'' the second difference of V at the well minimum over 1e-3 / a.
+    V'' the second difference of V over 1e-3 / a at the well's analytic
+    stationary point.
     """
-    x = _well_minimum(spec)[0]
+    x = spec.well_center()
     step = 1e-3 / spec.a
     curvature = (float(spec.potential(x + step)) - 2.0 * float(spec.potential(x))
                  + float(spec.potential(x - step))) / (step * step)

@@ -388,17 +388,19 @@ def test_unrepresentable_norm_constant_is_invalid_and_named(capsys):
     assert "level n = 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family, params", [
-    ("rosen_morse", ["V1=1", "V2=1e33", "a=1", "eta=1"]),
-    ("rosen_morse", ["V1=1", "V2=1e40", "a=1", "eta=1"]),
-    ("woods_saxon", ["V1=1", "V2=1e40", "a=1"]),
-    ("poschl_teller", ["V0=1e40", "a=1", "eta=1"]),
-    ("morse", ["V1=100", "V2=1e64", "a=1"]),
+@pytest.mark.parametrize("family, params, n_max", [
+    ("rosen_morse", ["V1=1", "V2=1e33", "a=1", "eta=1"], 0),
+    ("rosen_morse", ["V1=1", "V2=1e40", "a=1", "eta=1"], 0),
+    ("woods_saxon", ["V1=1", "V2=1e40", "a=1"], 0),
+    ("poschl_teller", ["V0=1e40", "a=1", "eta=1"], 0),
+    ("morse", ["V1=100", "V2=1e64", "a=1"], 0),
+    ("morse", ["V1=100", "V2=1e40", "a=1"], 2),
 ])
-def test_unresolvable_zero_point_is_invalid_and_named(family, params, capsys):
+def test_unresolvable_zero_point_is_invalid_and_named(family, params, n_max, capsys):
     # wells that bind, but whose zero-point energy is below the rounding of
-    # their bottom: the scan found no level and the run exited 3
-    args = ["spectrum", "--potential", family]
+    # their bottom: the scan found no level and the run exited 3, or (Morse
+    # at 1e40) found n = 0 only, at the bottom, and dropped n = 1 and 2
+    args = ["spectrum", "--potential", family, "--n-max", str(n_max)]
     for param in params:
         args += ["--param", param]
     code, text = run_cli(args)

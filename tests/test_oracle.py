@@ -128,6 +128,23 @@ def test_lowest_eigenvalues_whole_spectrum(diag):
     _assert_lowest_match_eigvalsh(diag, off, n)
 
 
+_huge = st.floats(1e300, 1e307).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.lists(st.one_of(_huge, _entries), min_size=n, max_size=n),
+                        st.lists(_entries, min_size=n - 1, max_size=n - 1))))
+def test_finite_diagonal_entries_above_huge_are_kept(matrix):
+    # only infinite entries are clamped to HUGE: finite diagonal entries up
+    # to 1e307 give the spectrum of the matrix as given
+    diag, off = matrix
+    assume(max(abs(v) for v in diag) > oracle.HUGE)
+    _assert_lowest_match_eigvalsh(diag, off, len(diag))
+    exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert sturm_count(diag, off, 1.1 * float(np.max(np.abs(exact)))) == len(diag)
+
+
 def test_wrong_seeds_still_give_the_spectrum():
     n, t = 60, 1.0
     pot, edges = _form([2.0 * t] * n, [-t] * (n - 1))
