@@ -32,13 +32,10 @@ of inertia gives count(T - lam) = count(S(lam)), and log|det(T - lam)| is
 the sum of their logarithms plus log|det S(lam)|; a Laguerre sweep carries
 the first two lam-derivatives of S's entries along.  The pure-Python pivot
 recursion then runs on S only, fewer than REDUCE_MIN_ROWS rows once every
-level is eliminated (1/16 to 1/64 of the h and h/2 matrices).  A
-count-only sweep reduces the rows before the classically forbidden tail of
-the matrix, from where every w >= 0, and stops, with the exact count, at
-the first excess >= 0 there: every later excess stays >= 0, in floating
-point too.  Where that takes more than EXIT_WINDOW rows, as next to an
-eigenvalue, it reduces and counts the rest of the matrix.  Every level ends
-in a count-certified bracket no wider than max(BISECT_TOL, 4 ulp).
+level is eliminated (1/16 to 1/64 of the h and h/2 matrices); a count
+sweep ends on S's last pivot, its last excess plus its last (ghost) edge.
+Every level ends in a count-certified bracket no wider than
+max(BISECT_TOL, 4 ulp).
 
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
@@ -78,9 +75,6 @@ SEED_MIN_INTERVALS = 64
 #: a sweep halves its matrix by odd/even reduction while the matrix has at
 #: least this many rows
 REDUCE_MIN_ROWS = 256
-#: rows a count sweep tests for its early exit before it reduces the rest
-#: of the matrix instead
-EXIT_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def sturm_count(diag, offdiag, lam: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
     below lam, from the sign count of the Sturm pivot recursion."""
     pot, edges = _form(diag, offdiag)
-    return _sturm(pot, edges, lam, _tail_floor(pot))
+    return _sturm(pot, edges, lam)
 
 
 def _form(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
@@ -158,20 +152,6 @@ def _edges(t: float, rows: int) -> np.ndarray:
     every edge, the two Dirichlet ghost edges included, as a read-only array
     that stores it once."""
     return np.broadcast_to(float(t), (rows + 1,))
-
-
-def _tail_floor(pot: np.ndarray) -> np.ndarray:
-    """Suffix minimum of pot.
-
-    From the first row where it is >= lam on, every w = pot - lam is >= 0
-    (as computed, too), so a count sweep there can stop at the first
-    excess >= 0 (:func:`_sturm`).  Rows where pot is not a number get -inf
-    and never end a sweep early.
-    """
-    floor = np.where(np.isnan(pot), -math.inf, pot)
-    suffix = floor[::-1]
-    np.minimum.accumulate(suffix, out=suffix)
-    return floor
 
 
 def _levels(rows: int) -> int:
@@ -252,35 +232,23 @@ def _reduce(w: np.ndarray, e: np.ndarray, levels: int):
     return w, e
 
 
-def _negative_load(b: float, d: float, p: float) -> float:
-    """b d / p, the load a negative pivot p = b + d puts on the next row.
-
-    A pivot above -PIVOT_FLOOR counts as -PIVOT_FLOOR and the load is then
-    capped at HUGE; an excess of -inf (a row that split the matrix, whose
-    load is inf / inf) leaves the edge b as a ghost edge of the next row.
-    The sweep loops inline these lines.
-    """
-    if p > -PIVOT_FLOOR:
-        p = -PIVOT_FLOOR
-    load = b * (d / p)
-    if not load <= HUGE:
-        load = HUGE if load > 0 else b
-    return load
-
-
-def _pivots(rows, edges, d: float, count: int):
+def _pivots(rows, edges, d: float):
     """The pivot recursion in excess form over ``rows`` w_i, each with the
-    edge b_i to the row before, continued from that row's excess d with
-    ``count`` negative pivots; returns the new count and the last excess.
+    edge b_i to the row before, continued from that row's excess d; returns
+    the number of negative pivots and the last excess.
 
     The excess of row i is delta_i = w_i + b_i delta_(i-1) / p_(i-1), where
     p_(i-1) = b_i + delta_(i-1) is the pivot of the row before, negative
-    exactly when delta_(i-1) < -b_i.
+    exactly when delta_(i-1) < -b_i.  A negative pivot above -PIVOT_FLOOR
+    counts as -PIVOT_FLOOR and its load b d / p is then capped at HUGE; an
+    excess of -inf (a row that split the matrix, whose load is inf / inf)
+    leaves the edge b as a ghost edge of the next row.
     """
     floor, huge = PIVOT_FLOOR, HUGE
+    count = 0
     for w, b in zip(rows, edges):
         p = b + d
-        if p < 0:  # as in _negative_load
+        if p < 0:
             count += 1
             if p > -floor:
                 p = -floor
@@ -295,74 +263,19 @@ def _pivots(rows, edges, d: float, count: int):
     return count, d
 
 
-def _sweep_rows(w: np.ndarray, e: np.ndarray, head: float, levels: int,
-                count: int):
-    """The pivot recursion over the rows (w, e) after up to ``levels``
-    reductions (:func:`_reduce`), row 0 starting from the excess w_0 +
-    head; returns the new count, the last row's excess and its right edge.
-    The reduction never reads e_0, so ``head`` stands in for it."""
-    w, e = _reduce(w, e, levels)
-    count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + head, count)
-    return count, d, float(e[-1])
-
-
-def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float, tail) -> int:
+def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float) -> int:
     """One count-only sweep: the number of negative pivots of T - lam =
     L(edges) + diag(pot - lam).
 
-    ``tail`` (:func:`_tail_floor`) gives the first row from which every w
-    = pot - lam is >= 0.  The rows before it (the lead) are odd/even
-    reduced (:func:`_reduce`) when there are at least REDUCE_MIN_ROWS of
-    them; the reduction keeps the lead's last row, so the pivot recursion
-    on the complement ends on the lead's last excess.  From the tail on,
-    the sweep stops, with the exact count, at the first excess >= 0: with
-    w >= 0 every later excess is >= 0 as well, in floating point too, and
-    no later pivot is negative.  Close to an eigenvalue the excesses can
-    take many rows to get there; after EXIT_WINDOW rows the rest of the
-    matrix is reduced and counted instead.  With ``tail`` None the whole
-    matrix is the lead: one reduction, cheaper where the sweep would not
-    stop early anyway.
+    The matrix is odd/even reduced (:func:`_reduce`) and the pivot
+    recursion runs on the complement, from row 0's excess w_0 + e_0; its
+    last pivot is the last excess plus the last (ghost) edge, which the
+    reduction carries when it eliminates the last row.
     """
-    n = pot.size
-    plain = n if tail is None else int(np.searchsorted(tail, lam))
-    if plain == 0:
-        return 0
-    levels = _levels(plain)
-    # 1 + a multiple of 2^levels rows, so that the reduction keeps the last
-    lead = 1 + (plain - 1) // (1 << levels) * (1 << levels)
-    stop = min(plain + EXIT_WINDOW, n)
     with np.errstate(all="ignore"):
-        count, d, _ = _sweep_rows(pot[:lead] - lam, edges[:lead + 1],
-                                  float(edges[0]), levels, 0)
-        rows = (pot[lead:stop] - lam).tolist()
-    left = edges[lead:stop].tolist()
-    count, d = _pivots(rows[:plain - lead], left[:plain - lead], d, count)
-    floor = PIVOT_FLOOR
-    for w, b in zip(rows[plain - lead:], left[plain - lead:]):
-        if d >= 0:
-            return count
-        p = b + d
-        if p < 0:
-            count += 1
-            d = w + _negative_load(b, d, p)
-        else:
-            d = w + b * (d / max(p, floor))
-    if d >= 0:
-        return count
-    if stop == n:
-        return count + (d + float(edges[n]) < 0)
-    # the last pivot before the rest, and its load on the rest's first row
-    b = float(edges[stop])
-    p = b + d
-    if p < 0:
-        count += 1
-        head = _negative_load(b, d, p)
-    else:
-        head = b * (d / max(p, floor))
-    with np.errstate(all="ignore"):
-        total, d, right = _sweep_rows(pot[stop:] - lam, edges[stop:], head,
-                                      _levels(n - stop), count)
-    return total + (d + right < 0)
+        w, e = _reduce(pot - lam, edges, _levels(pot.size))
+    count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + float(e[0]))
+    return count + (d + float(e[-1]) < 0)
 
 
 def _laguerre_sweep(pot: np.ndarray, edges: np.ndarray, lam: float):
@@ -485,7 +398,7 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
     for w, b, a1, a2, b1, b2 in zip(rows[1:], edges[1:-1], a1s[1:], a2s[1:],
                                     b1s[1:], b2s[1:]):
         p = b + d
-        if p < 0:  # as in _negative_load
+        if p < 0:  # as in _pivots
             count += 1
             if p > -floor:
                 p = -floor
@@ -591,7 +504,6 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     # L(edges) lies between 0 and twice the diagonal of its edge weights
     bottom = float(pot.min())
     top = float(pot.max()) + 4.0 * float(edges.max())
-    tail = _tail_floor(pot)
     lo, hi = [bottom] * count, [top] * count
     clo = [0] * count  # eigenvalues below lo[k]
     chi = [n] * count  # eigenvalues below hi[k]
@@ -616,9 +528,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
             if kind == "laguerre":
                 c, g, h = _laguerre_sweep(pot, edges, x)
             else:
-                # a probe's excesses do not settle in the tail: it sweeps
-                # the whole reduced matrix
-                c = _sturm(pot, edges, x, None if kind == "probe" else tail)
+                c = _sturm(pot, edges, x)
             sweeps += 1
             for j in range(min(c, count)):
                 if x < hi[j]:

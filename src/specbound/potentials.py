@@ -1134,7 +1134,7 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
                                  energy=energy, constants=constants,
                                  coefficients=pc, cmap=cmap,
                                  norm_constant=norm_constant))
-        floor_e = energy + 1e-11 * max(abs(energy), 1.0)
+        floor_e = math.nextafter(energy, math.inf)
     if len(states) <= n_max and isinstance(spec, _Well):
         _check_zero_point(spec, units, lo)
     return states

@@ -43,7 +43,6 @@ from specbound.oracle import (
     _levels,
     _lowest_eigenvalues,
     _sturm,
-    _tail_floor,
 )
 
 UNITS = UnitsConfig()
@@ -244,8 +243,8 @@ def _excess_loads(pot, edges, lam):
 
 
 def _full_sturm(pot, edges, lam):
-    """The pivot recursion over every row: the count the early exit and
-    the reduction of _sturm must reproduce."""
+    """The pivot recursion over every row: the count the reduction of
+    _sturm must reproduce."""
     return sum(p < 0 for p, *_ in _excess_loads(pot, edges, lam))
 
 
@@ -258,35 +257,33 @@ def _offdiagonals(n):
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_early_exit_sturm_count_matches_full_recursion(data):
+def test_sturm_count_matches_full_recursion(data):
     n = data.draw(st.integers(1, 40))
     diag = data.draw(st.lists(_entries, min_size=n, max_size=n))
     off = data.draw(_offdiagonals(n))
     pot, edges = _form(diag, off)
-    tail = _tail_floor(pot)
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    # shifts on, next to and far from the eigenvalues and the thresholds
-    anchors = [*np.linalg.eigvalsh(matrix), *tail[np.isfinite(tail)], 0.0]
+    # shifts on, next to and far from the eigenvalues, the diagonal entries
+    # and the potential, where a w = pot - lam changes sign
+    anchors = [*np.linalg.eigvalsh(matrix), *diag, *pot, 0.0]
     anchor = float(data.draw(st.sampled_from(anchors)))
     offset = data.draw(st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 100.0, -100.0]),
                                  st.floats(-1e-12, 1e-12), st.floats(-30.0, 30.0)))
     for lam in (anchor + offset, math.nextafter(anchor, math.inf),
                 math.nextafter(anchor, -math.inf)):
-        assert _sturm(pot, edges, lam, tail) == _full_sturm(pot, edges, lam)
+        assert _sturm(pot, edges, lam) == _full_sturm(pot, edges, lam)
 
 
-def test_early_exit_sturm_with_infinite_diagonal_entries():
+def test_sturm_count_with_infinite_diagonal_entries():
     # a row with an infinite diagonal is clamped to HUGE and splits the
-    # matrix: no sweep may stop before it on its account, and the counts
-    # are those of the blocks on either side
+    # matrix: the counts are those of the blocks on either side
     inf = math.inf
     for diag in ([5.0, inf, -3.0, 10.0], [inf, 1.0, -2.0, 4.0, 9.0],
                  [1.0, -inf, 2.0, 8.0], [2.0, 3.0, inf, -1.0, inf, 0.5, 7.0]):
         pot, edges = _form(diag, [1.0] * (len(diag) - 1))
-        tail = _tail_floor(pot)
         eigenvalues = _block_eigenvalues(diag, [1.0] * (len(diag) - 1))
         for lam in (-20.0, -5.0, 0.0, 0.5, 1.0, 3.0, 6.5, 20.0):
-            count = _sturm(pot, edges, lam, tail)
+            count = _sturm(pot, edges, lam)
             assert count == _full_sturm(pot, edges, lam)
             assert count == int(np.sum(eigenvalues < lam))
 
@@ -296,28 +293,25 @@ def test_early_exit_sturm_with_infinite_diagonal_entries():
     (GeneralizedMorse(100.0, 20.0, 1.0), RadialGrid(-2.3, 21.4, 4000)),
     (DeformedRosenMorse(4.0, 8.0, 0.5, 1.0), RadialGrid(-30.0, 30.0, 4000)),
 ])
-def test_early_exit_sturm_on_oracle_matrices(spec, grid, monkeypatch):
+def test_sturm_count_on_oracle_matrices(spec, grid, monkeypatch):
     pot, edges, _ = _oracle_matrix(spec, grid)
-    tail = _tail_floor(pot)
     levels = _lowest_eigenvalues(pot, edges, 2)[0]
     lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
-    lams += [float(v) for v in tail[:: pot.size // 7]]
+    lams += [float(v) for v in pot[:: pot.size // 7]]
     for lam in lams:
-        assert _sturm(pot, edges, lam, tail) == _full_sturm(pot, edges, lam), lam
-    # a count between the two lowest levels stops once the pivots settle in
-    # the classically forbidden tail (half the grid for the centred well):
-    # it hands no rest of the matrix to a reduction, and reads at most
-    # EXIT_WINDOW rows past the lead
+        assert _sturm(pot, edges, lam) == _full_sturm(pot, edges, lam), lam
+    # a count between the two lowest levels reduces the whole matrix: the
+    # pivot recursion sees fewer than REDUCE_MIN_ROWS rows of it
     read = []
-    sweep_rows = oracle._sweep_rows
+    pivots = oracle._pivots
 
-    def counted(w, *args, **kwargs):
-        read.append(w.size)
-        return sweep_rows(w, *args, **kwargs)
+    def counted(rows, *args):
+        read.append(len(rows))
+        return pivots(rows, *args)
 
-    monkeypatch.setattr(oracle, "_sweep_rows", counted)
-    assert _sturm(pot, edges, 0.5 * (levels[0] + levels[1]), tail) == 1
-    assert sum(read) + oracle.EXIT_WINDOW < 0.6 * pot.size
+    monkeypatch.setattr(oracle, "_pivots", counted)
+    assert _sturm(pot, edges, 0.5 * (levels[0] + levels[1])) == 1
+    assert sum(read) < oracle.REDUCE_MIN_ROWS
 
 
 def test_oracle_never_calls_the_closed_form(monkeypatch):
@@ -446,7 +440,7 @@ def _assert_count_matches(diag, off, lam, eigenvalues):
     ulp of the matrix's scale of an eigenvalue: there both counts are ones a
     rounding of T can give, and may differ."""
     pot, edges = _form(diag, off)
-    got = _sturm(pot, edges, lam, _tail_floor(pot))
+    got = _sturm(pot, edges, lam)
     want = _full_sturm(pot, edges, lam)
     if got != want:
         band = _band(diag, off)
@@ -496,15 +490,14 @@ def _shift(data, diag, off, eigenvalues):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_reduced_count_matches_full_recursion(data):
-    # small floors and exit windows so that sizes up to 8 floors run zero to
-    # four reduction levels on the lead and on the rest of the matrix
+    # small floors so that sizes up to 8 floors run zero to four reduction
+    # levels; on an even order the reduction eliminates the last row into
+    # the last ghost edge
     floor = data.draw(st.sampled_from([4, 8, 16]))
-    window = data.draw(st.sampled_from([1, 3, 32]))
     n = data.draw(st.integers(1, 8 * floor))
     diag, off = data.draw(_tridiagonals(n, st.one_of(_entries, _entries, _specials)))
     eigenvalues = _block_eigenvalues(diag, off)
-    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor), \
-            mock.patch.object(oracle, "EXIT_WINDOW", window):
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
         anchor = _shift(data, diag, off, eigenvalues)
         # on the anchor and one ulp either side, and just outside the
         # rounding band, where the count is no longer ambiguous but the
@@ -565,19 +558,18 @@ def _oracle_matrix(spec, grid):
 
 @pytest.mark.parametrize("spec, grid", _HALF_STEP_MATRICES)
 def test_reduced_sweeps_on_oracle_matrices(spec, grid):
-    # the matrices of test_early_exit_sturm_on_oracle_matrices at h/2, with
+    # the matrices of test_sturm_count_on_oracle_matrices at h/2, with
     # every eigenvalue from LAPACK as the reference
     linalg = pytest.importorskip("scipy.linalg")
     pot, edges, t = _oracle_matrix(spec, grid)
     diag = 2 * t + pot
     eigenvalues = linalg.eigvalsh_tridiagonal(diag, np.full(pot.size - 1, -t))
     diag_list, off_list = diag.tolist(), [-t] * (pot.size - 1)
-    tail = _tail_floor(pot)
     levels = _lowest_eigenvalues(pot, edges, 2)[0]
     lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
     lams += [v for level in levels for v in (math.nextafter(level, math.inf),
                                              math.nextafter(level, -math.inf))]
-    lams += [float(v) for v in tail[:: pot.size // 7]]
+    lams += [float(v) for v in pot[:: pot.size // 7]]
     for lam in lams:
         _assert_count_matches(diag_list, off_list, lam, eigenvalues)
     norm = float(np.max(np.abs(diag)) + 2 * t)
@@ -598,9 +590,7 @@ def test_reduced_sweeps_on_oracle_matrices(spec, grid):
 
 def test_sweeps_run_the_recursion_on_a_fraction_of_the_rows(monkeypatch):
     # the pure-Python recursion sees the reduced matrix only: about n / 32
-    # rows for a Laguerre sweep, and for a count next to an eigenvalue
-    # (whose pivots never settle in the tail) the lead and the rest reduced
-    # apart, plus the rows of the exit window
+    # rows for a Laguerre sweep and for a count next to an eigenvalue
     spec, grid = _HALF_STEP_MATRICES[0]
     pot, edges, _ = _oracle_matrix(spec, grid)
     rows = []
@@ -617,8 +607,8 @@ def test_sweeps_run_the_recursion_on_a_fraction_of_the_rows(monkeypatch):
     _laguerre_sweep(pot, edges, level + 1e-3)
     assert sum(rows) <= pot.size // 16
     rows.clear()
-    assert _sturm(pot, edges, level, _tail_floor(pot)) in (0, 1)
-    assert sum(rows) <= pot.size // 16 + oracle.EXIT_WINDOW
+    assert _sturm(pot, edges, level) in (0, 1)
+    assert sum(rows) <= pot.size // 16
 
 
 def _exact_sturm_count(pot, t, lam):
@@ -673,14 +663,11 @@ def test_sweeps_are_exactly_covariant_under_power_of_two_scaling(data):
     diag, off = data.draw(_tridiagonals(n, normal))
     lam = data.draw(st.one_of(normal, st.sampled_from(diag)))
     pot, edges = _form(diag, off)
-    tail = _tail_floor(pot)
     with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
-        count = _sturm(pot, edges, lam, tail)
+        count = _sturm(pot, edges, lam)
         sweep = _laguerre_sweep(pot, edges, lam)
         for s in (0.25, 4.0, 1024.0):
-            scaled = _tail_floor(s * pot)
-            assert np.array_equal(scaled, s * tail)
-            assert _sturm(s * pot, s * edges, s * lam, scaled) == count
+            assert _sturm(s * pot, s * edges, s * lam) == count
             c, g, h = _laguerre_sweep(s * pot, s * edges, s * lam)
             assert c == sweep[0]
             if abs(sweep[1]) < 1e100 and sweep[2] < 1e100:

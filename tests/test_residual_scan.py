@@ -20,6 +20,7 @@ from specbound import (
     DeformedRosenMorse,
     EnergyDependentForm,
     GeneralizedMorse,
+    InvalidParameters,
     KratzerFues,
     Mie,
     NegativeDiscriminant,
@@ -38,7 +39,7 @@ from specbound import (
     spectrum,
     to_parametric,
 )
-from specbound import parametric
+from specbound import parametric, potentials
 from specbound.cli import CLOSED_FORM_RTOL
 
 UNITS = UnitsConfig()
@@ -233,7 +234,7 @@ def test_scan_matches_scalar_scan_on_desk_cases(spec):
             if energy is None:
                 break
             walked.append(energy)
-            floor = energy + 1e-11 * max(abs(energy), 1.0)
+            floor = math.nextafter(energy, math.inf)
         assert walked
         assert [s.energy for s in spectrum(spec, l, UNITS, 3)] == walked
 
@@ -342,6 +343,26 @@ def test_deep_well_keeps_the_level_below_the_first_scan_point(spec):
     assert [s.n for s in states] == [0, 1, 2]
     for state, energy in zip(states, expected):
         assert state.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+def test_deep_morse_wells_keep_every_closed_form_level():
+    # deeper than about 3e12 the level spacing is below 1e-11 of |E|: each
+    # next level must be searched from just above the last one, or it is
+    # skipped.  A refused depth is one whose zero-point energy float64
+    # cannot resolve above the bottom.
+    for k in range(81):
+        spec = GeneralizedMorse(V1=100.0, V2=10.0 ** (10 + k / 8), a=1.0)
+        expected = [closed_form_energy(spec, 0, UNITS, n) for n in range(3)]
+        try:
+            states = spectrum(spec, 0, UNITS, n_max=2)
+        except InvalidParameters:
+            lo = to_parametric(spec, 0, UNITS)[0].energy_window[0]
+            with pytest.raises(InvalidParameters, match="zero-point"):
+                potentials._check_zero_point(spec, UNITS, lo)
+            continue
+        assert [s.n for s in states] == [0, 1, 2], spec
+        for state, energy in zip(states, expected):
+            assert state.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
 def test_array_residual_maps_infinities_to_nan():
