@@ -84,7 +84,6 @@ from .potentials import (
 from .quadrature import (
     RadialGrid,
     count_nodes,
-    golden_section_minimize,
     simpson_integrate,
 )
 

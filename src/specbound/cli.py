@@ -256,9 +256,9 @@ def cmd_wavefunction(args, out) -> int:
         print(f"level (n={n}, l={config.l}) does not exist", file=sys.stderr)
         return EXIT_NO_BOUND_STATE
     state = states[n]
-    grid = config.grid or pot.default_grid(config.potential, config.l, config.units,
-                                           n_max=n)
-    x = np.linspace(grid.x_min, grid.x_max, args.samples)
+    x_min, x_max = ((config.grid.x_min, config.grid.x_max) if config.grid
+                    else pot.sampling_window(state))
+    x = np.linspace(x_min, x_max, args.samples)
     psi = pot.wavefunction(state, x)
     weighted = psi * psi * state.cmap.measure(x)
     rows = [[float(xi), float(pi), float(wi)] for xi, pi, wi in zip(x, psi, weighted)]

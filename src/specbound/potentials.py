@@ -37,6 +37,7 @@ from .errors import (
     InvalidParameters,
     NoBoundState,
     OutOfDomain,
+    SpecboundError,
     UnsupportedAngularMomentum,
     WindowDegenerate,
 )
@@ -54,7 +55,7 @@ from .parametric import (
     solve_laguerre_constants,
 )
 from .polynomials import jacobi_eval, laguerre_eval
-from .quadrature import RadialGrid, golden_section_minimize
+from .quadrature import RadialGrid
 # unused here; bench/tracing.py counts quadrature work under this attribute
 from .quadrature import simpson_integrate  # noqa: F401
 
@@ -71,6 +72,9 @@ EDGE_TOL_FRACTION = 1e-8
 #: on a side with no finite asymptote the edge acts as a hard wall once V
 #: exceeds this multiple of the well depth
 WALL_FRACTION = 1e4
+#: a sampling window ends where psi^2 times the measure has fallen below
+#: this fraction of its value at the classical turning point
+WINDOW_TAIL = 1e-16
 
 
 def _require_finite(spec) -> None:
@@ -192,10 +196,14 @@ class _Well(_Family):
     def asymptote(self) -> float:
         return min(self.asymptote_sides())
 
+    def bottom(self) -> float:
+        """V at the analytic stationary point ``well_center()``."""
+        return float(self.potential(self.well_center()))
+
     def energy_window(self, l, units) -> tuple[float, float]:
         top = self.asymptote()
         try:
-            return (_well_minimum(self)[1], top)
+            return (self.bottom(), top)
         except WindowDegenerate:
             return (top, top)
 
@@ -210,6 +218,11 @@ class _InversePower(_Family):
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         return _IDENTITY_RADIAL_MAP
+
+    def radial_center(self, l, units) -> float:
+        """Where V_eff is lowest, r = 2B/A (0 without a barrier)."""
+        _, lam2, lam3 = self._c_lam23(l, units)
+        return 2 * lam3 / lam2
 
     def _coeff_at(self, l, units):
         c, lam2, lam3 = self._c_lam23(l, units)
@@ -425,6 +438,11 @@ class Pseudoharmonic(_Family):
         lam3 = units.mass * self.V0 * self.r0**2 / (2 * units.hbar**2) + l * (l + 1) / 4.0
         return lam1, lam3
 
+    def radial_center(self, l, units) -> float:
+        """Where V_eff = lam1 r^2 + lam3 / r^2 - 2 V0 (scaled) is lowest."""
+        lam1, lam3 = self._lams(l, units)
+        return (lam3 / lam1) ** 0.25
+
     def _coeff_at(self, l, units):
         lam1, lam3 = self._lams(l, units)
         half_m = units.mass / (2 * units.hbar**2)
@@ -537,10 +555,11 @@ class DeformedRosenMorse(_Well):
         return (0.0, self.V1)
 
     def well_center(self) -> float:
-        s_star = (self.V1 + self.V2) / (2 * self.V2 * self.eta)
-        if not 0 < s_star < 1.0 / self.eta:
+        # e^(2ax*) = 1/s* - eta, s* = (V1 + V2) / (2 V2 eta), without cancellation
+        excess = self.eta * ((self.V2 - self.V1) / (self.V1 + self.V2))
+        if not excess > 0:
             raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
-        return math.log(1.0 / s_star - self.eta) / (2 * self.a)
+        return math.log(excess) / (2 * self.a)
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         # |dx/ds| = 1/(2a s (1 - eta s))
@@ -618,10 +637,11 @@ class WoodsSaxon(_Well):
         return (-self.V1, 0.0)
 
     def well_center(self) -> float:
-        s_star = (self.V1 + self.V2) / (2 * self.V2)
-        if not 0 < s_star < 1:
+        # e^(ax*) = 1/s* - 1 with s* = (V1 + V2) / (2 V2), as for Rosen-Morse
+        excess = (self.V2 - self.V1) / (self.V1 + self.V2)
+        if not excess > 0:
             raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
-        return math.log(1.0 / s_star - 1.0) / self.a
+        return math.log(excess) / self.a
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         # |dx/ds| = 1/(a s (1 - s))
@@ -765,61 +785,45 @@ def _validate_l(spec: PotentialSpec, l: int) -> None:
             "noncentral_radial carries its angular part in lambda; call with l = 0")
 
 
-def _well_minimum(spec) -> tuple[float, float]:
-    """Locate the potential minimum (1-D families) by golden-section search
-    seeded at the analytic stationary point."""
-    x_star = spec.well_center()
-    scale = 1.0 / spec.a
-    x, v = golden_section_minimize(lambda t: float(spec.potential(t)),
-                                   x_star - 4 * scale, x_star + 4 * scale)
-    return x, v
-
-
-def _expand_to_edge(f, start: float, step0: float, direction: int, predicate) -> float:
-    """Walk outward from `start` in `direction` until predicate(f(x)) holds,
-    then bisect back to the transition point."""
-    d = step0
+def _expand_to_edge(past_edge, start: float, step: float, direction: int) -> float:
+    """Walk outward from `start` in `direction`, doubling the step, until
+    past_edge(x) holds, then bisect back to the transition point."""
+    d = step
     x_prev = start
     for _ in range(200):
         x = start + direction * d
-        if predicate(f(x)):
+        if past_edge(x):
             lo, hi = x_prev, x
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if predicate(f(mid)):
+                if past_edge(mid):
                     hi = mid
                 else:
                     lo = mid
             return hi
         x_prev = x
         d *= 2.0
-    raise InvalidParameters("could not locate a grid edge; potential never settles")
+    raise InvalidParameters("could not locate an edge: the walk never got past it")
 
 
-def _outer_turning_point(spec, l: int, units: UnitsConfig, energy: float) -> float:
-    """Largest radius where V_eff crosses the given energy from below."""
-    sample = np.geomspace(1e-3, 1e3, 61)
-    v = effective_potential(spec, l, units, sample)
-    lo = float(sample[int(np.argmin(v))])
-    hi = lo
-    for _ in range(120):
-        hi *= 2.0
-        if float(effective_potential(spec, l, units, np.array([hi]))[0]) >= energy:
-            break
-    else:
-        return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(effective_potential(spec, l, units, np.array([mid]))[0]) >= energy:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _climb(spec, l: int, units: UnitsConfig, level: float, direction: int) -> float:
+    """Where V_eff, rising from the analytic bottom of the well in
+    `direction`, reaches `level`: a classical turning point when `level` is
+    an energy.  A radial walk steps from the radius of the bottom or, where
+    V_eff has none, from the decay length hbar / sqrt(2m (V_asym - level))."""
+    if spec.radial:
+        start = spec.radial_center(l, units)
+        step = start or units.hbar / math.sqrt(2 * units.mass * (spec.asymptote() - level))
+        return _expand_to_edge(lambda r: effective_potential(spec, l, units, r) >= level,
+                               start, step, direction)
+    return _expand_to_edge(lambda x: spec.potential(x) >= level, spec.well_center(),
+                           1.0 / spec.a, direction)
 
 
 def default_grid(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig(),
-                 n_max: int = 8, n_points: int | None = None) -> RadialGrid:
-    """Verification and sampling grid adequate for levels up to n_max.
+                 n_max: int = 8) -> RadialGrid:
+    """Verification grid adequate for levels up to n_max: the oracle's grid,
+    and the tests' grid for quadrature checks of the analytic states.
 
     Radial families start at the origin (the physical boundary of the
     reduced problem) and extend to three times the outer classical turning
@@ -831,43 +835,28 @@ def default_grid(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConf
     a hard wall on a side that grows without bound).
     """
     if spec.radial:
-        base = RADIAL_GRID_POINTS if n_points is None else n_points
         if isinstance(spec, Pseudoharmonic):
             omega = math.sqrt(8 * spec.V0 / (units.mass * spec.r0**2))
             e_cap = units.hbar * omega * (2 * n_max + 12)
             w = math.sqrt(e_cap / spec.V0)
             r_tp = spec.r0 * (w + math.sqrt(w * w + 4.0)) / 2.0
-            return RadialGrid(0.0, 1.5 * r_tp, base)
+            return RadialGrid(0.0, 1.5 * r_tp, RADIAL_GRID_POINTS)
         e_top = spec.closed_form(n_max, l, units)
         r_max = RADIAL_DEFAULT_XMAX
         if e_top < spec.asymptote():
-            r_max = max(r_max, 3.0 * _outer_turning_point(spec, l, units, e_top))
-        if n_points is None:
-            base = int(round(base * max(1.0, r_max / RADIAL_DEFAULT_XMAX)))
-        return RadialGrid(0.0, r_max, base)
-    if n_points is None:
-        n_points = DEFAULT_GRID_POINTS
+            r_max = max(r_max, 3.0 * _climb(spec, l, units, e_top, +1))
+        n_points = int(round(RADIAL_GRID_POINTS * max(1.0, r_max / RADIAL_DEFAULT_XMAX)))
+        return RadialGrid(0.0, r_max, n_points)
 
-    x_star, v_min = _well_minimum(spec)
-    left_asym, right_asym = spec.asymptote_sides()
-    finite = [v for v in (left_asym, right_asym) if math.isfinite(v)]
-    depth = min(finite) - v_min
+    sides = spec.asymptote_sides()
+    depth = min(v for v in sides if math.isfinite(v)) - spec.bottom()
     if depth <= 0:
         raise WindowDegenerate(f"{spec.family} has no well below its asymptote")
-    v = spec.potential
-    step0 = 1.0 / spec.a
-
-    def settled(asym):
-        return lambda val: abs(val - asym) <= EDGE_TOL_FRACTION * depth
-
-    def walled(val):
-        return val >= WALL_FRACTION * depth
-
-    x_lo = _expand_to_edge(v, x_star, step0, -1,
-                           settled(left_asym) if math.isfinite(left_asym) else walled)
-    x_hi = _expand_to_edge(v, x_star, step0, +1,
-                           settled(right_asym) if math.isfinite(right_asym) else walled)
-    return RadialGrid(float(x_lo), float(x_hi), n_points)
+    # V rises from the centre up to its asymptote, or without bound
+    left, right = (asym - EDGE_TOL_FRACTION * depth if math.isfinite(asym)
+                   else WALL_FRACTION * depth for asym in sides)
+    return RadialGrid(_climb(spec, 0, units, left, -1), _climb(spec, 0, units, right, +1),
+                      DEFAULT_GRID_POINTS)
 
 
 # --------------------------------------------------------------------------
@@ -1086,6 +1075,25 @@ def wavefunction(state: BoundState, x):
     return float(psi[0]) if scalar else psi
 
 
+def sampling_window(state: BoundState) -> tuple[float, float]:
+    """Where the state lives: its classical turning points at its energy,
+    each moved outward (past a turning point psi decays without a node)
+    until psi^2 times the measure has fallen below WINDOW_TAIL of its value
+    there.  A radial window starts at the origin."""
+    spec, l, units = state.potential, state.l, state.units
+
+    def density(x):
+        return state.cmap.measure(x) * wavefunction(state, x) ** 2
+
+    def tail_end(direction):
+        x_t = _climb(spec, l, units, state.energy, direction)
+        floor = WINDOW_TAIL * density(x_t)
+        step = x_t if spec.radial else 1.0 / spec.a
+        return _expand_to_edge(lambda x: density(x) <= floor, x_t, step, direction)
+
+    return (0.0 if spec.radial else tail_end(-1)), tail_end(+1)
+
+
 def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig(),
              n_max: int = 0) -> list[BoundState]:
     """All bound states with n <= n_max, in strictly increasing energy.
@@ -1096,8 +1104,9 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     integral with a closed form, evaluated in log space from the declared
     Jacobian of the coordinate map; no grid is involved.  The list ends
     early when a finite well runs out of levels.  A well whose list ends
-    before n_max because float64 cannot resolve its zero-point energy above
-    its bottom raises InvalidParameters naming the depth.
+    before n_max, or whose level fails its consistency or norm check,
+    raises InvalidParameters naming the depth when float64 cannot resolve
+    its zero-point energy above its bottom.
     """
     _validate_l(spec, l)
     if n_max < 0:
@@ -1110,31 +1119,37 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
 
     states: list[BoundState] = []
     floor_e = None
-    for n in range(n_max + 1):
-        try:
-            energy = solve_energy(form, n, rc, above=floor_e)
-        except (NoBoundState, WindowDegenerate):
-            break
-        pc = form.coeff_at(energy)
-        if pc.branch == JACOBI:
-            constants = solve_jacobi_constants(pc, rc)
-            consistency_check(constants)
-        else:
-            constants = solve_laguerre_constants(pc)
-        # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
-        log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
-                       - 2.0 * _prefactor_peak(pc, constants)[1])
-        try:
-            norm_constant = math.exp(-0.5 * log_norm_sq)
-        except OverflowError:
-            raise InvalidParameters(
-                f"{spec.family} level n = {n} at E = {energy!r} has a norm constant "
-                f"e^{-0.5 * log_norm_sq:.6g} beyond floating point") from None
-        states.append(BoundState(potential=spec, units=units, n=n, l=l,
-                                 energy=energy, constants=constants,
-                                 coefficients=pc, cmap=cmap,
-                                 norm_constant=norm_constant))
-        floor_e = math.nextafter(energy, math.inf)
+    try:
+        for n in range(n_max + 1):
+            try:
+                energy = solve_energy(form, n, rc, above=floor_e)
+            except (NoBoundState, WindowDegenerate):
+                break
+            pc = form.coeff_at(energy)
+            if pc.branch == JACOBI:
+                constants = solve_jacobi_constants(pc, rc)
+                consistency_check(constants)
+            else:
+                constants = solve_laguerre_constants(pc)
+            # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
+            log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
+                           - 2.0 * _prefactor_peak(pc, constants)[1])
+            try:
+                norm_constant = math.exp(-0.5 * log_norm_sq)
+            except OverflowError:
+                raise InvalidParameters(
+                    f"{spec.family} level n = {n} at E = {energy!r} has a norm constant "
+                    f"e^{-0.5 * log_norm_sq:.6g} beyond floating point") from None
+            states.append(BoundState(potential=spec, units=units, n=n, l=l,
+                                     energy=energy, constants=constants,
+                                     coefficients=pc, cmap=cmap,
+                                     norm_constant=norm_constant))
+            floor_e = math.nextafter(energy, math.inf)
+    except SpecboundError:
+        # a level of a well too deep for float64 fails its checks on rounding
+        if isinstance(spec, _Well):
+            _check_zero_point(spec, units, lo)
+        raise
     if len(states) <= n_max and isinstance(spec, _Well):
         _check_zero_point(spec, units, lo)
     return states
@@ -1142,8 +1157,9 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
 
 def _check_zero_point(spec, units: UnitsConfig, bottom: float) -> None:
     """Raise InvalidParameters, naming the depth, when a well's zero-point
-    energy is below 64 ulp of its bottom: float64 cannot place its levels
-    apart there, and the scan finds fewer than the well binds.
+    energy is below 64 ulp of its bottom (``spec.bottom()``, the floor of
+    its energy window): float64 cannot place its levels apart there, and
+    the scan finds fewer than the well binds.
 
     The zero-point energy is the harmonic one, (hbar/2) sqrt(V''/m), with
     V'' the second difference of V over 1e-3 / a at the well's analytic
@@ -1151,7 +1167,7 @@ def _check_zero_point(spec, units: UnitsConfig, bottom: float) -> None:
     """
     x = spec.well_center()
     step = 1e-3 / spec.a
-    curvature = (float(spec.potential(x + step)) - 2.0 * float(spec.potential(x))
+    curvature = (float(spec.potential(x + step)) - 2.0 * bottom
                  + float(spec.potential(x - step))) / (step * step)
     zero_point = 0.5 * units.hbar * math.sqrt(max(curvature, 0.0) / units.mass)
     resolution = 64 * math.ulp(bottom)

@@ -1,7 +1,7 @@
-"""Uniform grids, composite Simpson quadrature, node counting, and a
-golden-section minimizer.  Shared by the potential catalog (well-depth
-location, default grids) and the finite-difference verifier; Simpson is
-also the tests' independent check of the closed-form norms."""
+"""Uniform grids, composite Simpson quadrature and node counting.  The
+grid type is shared by the potential catalog (default grids) and the
+finite-difference verifier; Simpson and node counting are the tests'
+independent checks of the closed-form norms and of the level indices."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 from .errors import InvalidParameters, TooFewSamples
 
 MIN_GRID_POINTS = 100
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,3 @@ def count_nodes(samples, threshold: float | None = None) -> int:
     signs = np.sign(kept)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
-
-def golden_section_minimize(f, a: float, b: float, tol: float = 1e-12,
-                            max_iter: int = 200) -> tuple[float, float]:
-    """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min))."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if abs(b - a) <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)

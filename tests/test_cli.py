@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from specbound import (
@@ -12,6 +13,7 @@ from specbound import (
     RadialGrid,
     UnitsConfig,
     closed_form_energy,
+    count_nodes,
 )
 from specbound.cli import (
     EXIT_INVALID,
@@ -172,6 +174,28 @@ def test_wavefunction_second_excited_has_two_sign_changes():
     kept = [p for p in psi if abs(p) > 1e-8 * max(abs(v) for v in psi)]
     flips = sum(1 for a, b in zip(kept, kept[1:]) if (a < 0) != (b < 0))
     assert flips == 2
+
+
+@pytest.mark.parametrize("args, n", [
+    (["--potential", "coulomb", "--param", "e2=1", "--hbar", "1e-3"], 1),
+    (["--potential", "morse", "--param", "V1=100", "--param", "V2=20", "--param", "a=1",
+      "--mass", "1e6"], 3),
+])
+def test_wavefunction_samples_the_window_of_the_state(args, n):
+    # without --grid the samples span the state itself: at hbar = 1e-3 the
+    # Bohr radius is 1e-6, and a fixed 80-unit grid held one nonzero sample
+    code, text = run_cli(["wavefunction", *args, "--n", str(n)])
+    assert code == EXIT_OK
+    samples = json.loads(text)["samples"]
+    x = np.array([s["x"] for s in samples])
+    psi = np.array([s["psi"] for s in samples])
+    weighted = np.array([s["psi_squared_weighted"] for s in samples])
+    trapezoid = float(np.sum(np.diff(x) * (weighted[1:] + weighted[:-1]) / 2))
+    assert trapezoid == pytest.approx(1.0, abs=1e-3)
+    assert count_nodes(psi) == n
+    for end, density in ((x[0], weighted[0]), (x[-1], weighted[-1])):
+        if end != 0.0:  # the radial origin is a boundary, not a tail
+            assert density <= 1e-12 * weighted.max()
 
 
 def test_wavefunction_missing_level_exit_code():
@@ -378,16 +402,6 @@ def test_overflowing_parameter_is_invalid_and_named(family, params, named, capsy
     assert named in err and "overflow" in err
 
 
-def test_unrepresentable_norm_constant_is_invalid_and_named(capsys):
-    # a 2.5e99-deep well: its ground level sits below the first scan point,
-    # and its norm constant exceeds floating point
-    code, text = run_cli(["spectrum", "--potential", "rosen_morse", "--param", "V1=1",
-                          "--param", "V2=1e100", "--param", "a=1", "--param", "eta=1"])
-    assert code == EXIT_INVALID
-    assert text == ""
-    assert "level n = 0" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("family, params, n_max", [
     ("rosen_morse", ["V1=1", "V2=1e33", "a=1", "eta=1"], 0),
     ("rosen_morse", ["V1=1", "V2=1e40", "a=1", "eta=1"], 0),
@@ -395,11 +409,17 @@ def test_unrepresentable_norm_constant_is_invalid_and_named(capsys):
     ("poschl_teller", ["V0=1e40", "a=1", "eta=1"], 0),
     ("morse", ["V1=100", "V2=1e64", "a=1"], 0),
     ("morse", ["V1=100", "V2=1e40", "a=1"], 2),
+    ("rosen_morse", ["V1=1", "V2=1e100", "a=1", "eta=1"], 0),
+    ("morse", ["V1=100", "V2=4.2e18", "a=1"], 2),
+    ("morse", ["V1=100", "V2=7.5e19", "a=1"], 2),
 ])
 def test_unresolvable_zero_point_is_invalid_and_named(family, params, n_max, capsys):
     # wells that bind, but whose zero-point energy is below the rounding of
     # their bottom: the scan found no level and the run exited 3, or (Morse
-    # at 1e40) found n = 0 only, at the bottom, and dropped n = 1 and 2
+    # at 1e40) found n = 0 only, at the bottom, and dropped n = 1 and 2; the
+    # rest failed a level's consistency check (Rosen-Morse at 1e33) or its
+    # norm constant overflowed (Rosen-Morse at 1e100, Morse at 4.2e18 and
+    # 7.5e19) before the zero-point was named
     args = ["spectrum", "--potential", family, "--n-max", str(n_max)]
     for param in params:
         args += ["--param", param]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     Coulomb,
@@ -19,11 +21,11 @@ from specbound import (
     Pseudoharmonic,
     UnitsConfig,
     UnsupportedAngularMomentum,
+    WindowDegenerate,
     WoodsSaxon,
     closed_form_energy,
     count_nodes,
     default_grid,
-    golden_section_minimize,
     make_potential,
     potential_value,
     simpson_integrate,
@@ -75,11 +77,37 @@ def test_potential_values():
     morse = GeneralizedMorse(V1=100.0, V2=20.0, a=1.0)
     x_star = math.log(2 * 100.0 / 20.0) / 1.0
     assert potential_value(morse, x_star) == pytest.approx(-20.0**2 / 400.0)
-    x_min, v_min = golden_section_minimize(lambda x: potential_value(morse, x),
-                                           x_star - 2, x_star + 2)
-    assert v_min == pytest.approx(-1.0, abs=1e-10)
+    # the window floor is V at the analytic stationary point, exact here
+    assert to_parametric(morse, 0, UNITS)[0].energy_window == (-1.0, 0.0)
     with pytest.raises(OutOfDomain):
         potential_value(Mie(V0=5.0, a=1.0), -1.0)
+
+
+_depth = st.floats(0.5, 500.0)
+_wells = st.one_of(
+    st.builds(GeneralizedMorse, V1=_depth, V2=_depth, a=st.floats(0.2, 3.0)),
+    st.builds(DeformedRosenMorse, V1=st.floats(0.0, 50.0), V2=_depth,
+              a=st.floats(0.2, 3.0), eta=st.floats(0.1, 10.0)),
+    st.builds(WoodsSaxon, V1=st.floats(0.0, 50.0), V2=_depth, a=st.floats(0.2, 3.0)),
+    st.builds(PoschlTeller, V0=_depth, a=st.floats(0.2, 3.0), eta=st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wells)
+# V1 = V2: 1/s* - eta rounded to 0 and well_center() raised a math domain error
+@example(DeformedRosenMorse(V1=1.2185561670721683, V2=1.2185561670721683, a=1.0, eta=1.203125))
+def test_window_bottom_is_v_at_the_analytic_center(spec):
+    lo, hi = to_parametric(spec, 0, UNITS)[0].energy_window
+    try:
+        center = spec.well_center()
+    except WindowDegenerate:
+        assert lo == hi  # V1 >= V2 steps have no interior minimum
+        return
+    assert lo == potential_value(spec, center)
+    x = center + np.linspace(-4.0, 4.0, 10_000) / spec.a
+    v_min = float(np.min(potential_value(spec, x)))
+    assert lo <= v_min + 4 * math.ulp(v_min)
 
 
 def test_poschl_teller_is_sech_squared_well():
