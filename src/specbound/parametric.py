@@ -337,28 +337,58 @@ def _residual_or_nan(form, n, energy, root_choice) -> float:
     return value
 
 
-def _bisect(form, n, root_choice, a, b, fa, fb) -> float:
-    # Drive the bracket down to machine-relative width; the residual slope
-    # is O(1..100) for every catalog case, so this leaves |residual| far
-    # below the 1e-10 contract.
+def _brent(form, n, root_choice, a, b, fa, fb) -> float:
+    """Root of the residual in [a, b], whose ends have residuals fa, fb of
+    opposite signs, by Brent's method (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4).
+
+    b is the best end and c the one across the root.  Each step takes the
+    secant or inverse quadratic step from b, or halves [b, c] whenever
+    interpolation would not shrink it fast enough.  Stops at the relative
+    bracket width 1e-15, on an exact zero or after 200 steps, and returns
+    b; the residual's slope is O(1..100) for every catalog case, so that
+    leaves |residual| far below the 1e-10 contract.
+    """
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 0.5e-15 * max(abs(b), abs(c))
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol:
             break
-        fm = _residual_or_nan(form, n, mid, root_choice)
-        if math.isnan(fm):
-            # defensive: both bracket ends are valid, so pull the upper end in
-            b = mid
-            continue
-        if fm == 0.0:
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                t, r = fa / fc, fb / fc
+                p = s * (2.0 * m * t * (t - r) - (b - a) * (r - 1.0))
+                q = (t - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
         else:
-            a, fa = mid, fm
-        if abs(b - a) <= 1e-15 * max(abs(a), abs(b)):
+            e = d = m
+        x = b + (d if abs(d) > tol else math.copysign(tol, m))
+        if x == b:  # tol below half an ulp of b: only in subnormal brackets
             break
-    return 0.5 * (a + b)
+        fx = _residual_or_nan(form, n, x, root_choice)
+        if math.isnan(fx):
+            # defensive: both ends are finite, so pull the far end in to x
+            # with its sign, marked infinite so that it is never taken as
+            # the best end, and halve next
+            c, fc = x, math.copysign(math.inf, fc)
+            e = d = 0.0
+            continue
+        a, fa, b, fb = b, fb, x, fx
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            e = d = b - a
+    return b
 
 
 def _first_bracket(form, n, root_choice, lo, hi, scan_points):
@@ -435,8 +465,10 @@ def _top_bracket(form, n, root_choice, lo, hi, e_last, f_last):
 
 
 def _root_in(form, n, root_choice, bracket) -> float:
+    """The root in a bracket (a, b, fa, fb) from the scan: a itself when
+    the scan hit an exact zero (a == b), else Brent's refinement of it."""
     a, b, fa, fb = bracket
-    return a if a == b else _bisect(form, n, root_choice, a, b, fa, fb)
+    return a if a == b else _brent(form, n, root_choice, a, b, fa, fb)
 
 
 def solve_energy(form: EnergyDependentForm, n: int,
@@ -448,7 +480,8 @@ def solve_energy(form: EnergyDependentForm, n: int,
     Evaluates the residual at ``scan_points`` uniform interior energies of
     the window in one numpy call (``quantization_residuals``), takes the
     first sign change between neighbours where both are finite (or an exact
-    zero), then bisects it with scalar ``quantization_residual`` calls to
+    zero), then refines it by Brent's method with scalar
+    ``quantization_residual`` calls, about three per level, to
     machine-relative bracket width.  ``above`` restricts the search to
     energies strictly above a previous level, which enforces the
     E_0 < E_1 < ... ordering when multiple residual roots exist.  For

@@ -37,7 +37,6 @@ from .errors import (
     InvalidParameters,
     NoBoundState,
     OutOfDomain,
-    SpecboundError,
     UnsupportedAngularMomentum,
     WindowDegenerate,
 )
@@ -1103,10 +1102,9 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     norm integral of every catalog state is a Laguerre or Jacobi weight
     integral with a closed form, evaluated in log space from the declared
     Jacobian of the coordinate map; no grid is involved.  The list ends
-    early when a finite well runs out of levels.  A well whose list ends
-    before n_max, or whose level fails its consistency or norm check,
-    raises InvalidParameters naming the depth when float64 cannot resolve
-    its zero-point energy above its bottom.
+    early when a finite well runs out of levels.  A well too deep for
+    float64 to resolve its zero-point energy above its bottom raises
+    InvalidParameters naming the depth before any level is solved.
     """
     _validate_l(spec, l)
     if n_max < 0:
@@ -1117,41 +1115,36 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
         return []
     rc = spec.root_choice()
 
+    if isinstance(spec, _Well):
+        _check_zero_point(spec, units, lo)
+
     states: list[BoundState] = []
     floor_e = None
-    try:
-        for n in range(n_max + 1):
-            try:
-                energy = solve_energy(form, n, rc, above=floor_e)
-            except (NoBoundState, WindowDegenerate):
-                break
-            pc = form.coeff_at(energy)
-            if pc.branch == JACOBI:
-                constants = solve_jacobi_constants(pc, rc)
-                consistency_check(constants)
-            else:
-                constants = solve_laguerre_constants(pc)
-            # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
-            log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
-                           - 2.0 * _prefactor_peak(pc, constants)[1])
-            try:
-                norm_constant = math.exp(-0.5 * log_norm_sq)
-            except OverflowError:
-                raise InvalidParameters(
-                    f"{spec.family} level n = {n} at E = {energy!r} has a norm constant "
-                    f"e^{-0.5 * log_norm_sq:.6g} beyond floating point") from None
-            states.append(BoundState(potential=spec, units=units, n=n, l=l,
-                                     energy=energy, constants=constants,
-                                     coefficients=pc, cmap=cmap,
-                                     norm_constant=norm_constant))
-            floor_e = math.nextafter(energy, math.inf)
-    except SpecboundError:
-        # a level of a well too deep for float64 fails its checks on rounding
-        if isinstance(spec, _Well):
-            _check_zero_point(spec, units, lo)
-        raise
-    if len(states) <= n_max and isinstance(spec, _Well):
-        _check_zero_point(spec, units, lo)
+    for n in range(n_max + 1):
+        try:
+            energy = solve_energy(form, n, rc, above=floor_e)
+        except (NoBoundState, WindowDegenerate):
+            break
+        pc = form.coeff_at(energy)
+        if pc.branch == JACOBI:
+            constants = solve_jacobi_constants(pc, rc)
+            consistency_check(constants)
+        else:
+            constants = solve_laguerre_constants(pc)
+        # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
+        log_norm_sq = (_log_norm_sq(pc, constants, n, cmap.jacobian)
+                       - 2.0 * _prefactor_peak(pc, constants)[1])
+        try:
+            norm_constant = math.exp(-0.5 * log_norm_sq)
+        except OverflowError:
+            raise InvalidParameters(
+                f"{spec.family} level n = {n} at E = {energy!r} has a norm constant "
+                f"e^{-0.5 * log_norm_sq:.6g} beyond floating point") from None
+        states.append(BoundState(potential=spec, units=units, n=n, l=l,
+                                 energy=energy, constants=constants,
+                                 coefficients=pc, cmap=cmap,
+                                 norm_constant=norm_constant))
+        floor_e = math.nextafter(energy, math.inf)
     return states
 
 

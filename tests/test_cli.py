@@ -430,6 +430,32 @@ def test_unresolvable_zero_point_is_invalid_and_named(family, params, n_max, cap
     assert "depth" in err and "cannot resolve its zero-point energy" in err
 
 
+@pytest.mark.parametrize("family, depth, params, threshold", [
+    ("morse", "V2", ["V1=100", "a=1"], 1.41e15),
+    ("rosen_morse", "V2", ["V1=1", "a=1", "eta=1"], 1.99e28),
+    ("woods_saxon", "V2", ["V1=1", "a=1"], 4.96e27),
+    ("poschl_teller", "V0", ["a=1", "eta=1"], 4.96e27),
+])
+def test_every_depth_past_the_zero_point_threshold_is_invalid(family, depth, params,
+                                                              threshold, capsys):
+    # the zero-point rule decides before any level is solved, so refusal
+    # is monotone in the depth: 40 decades past the threshold, all refused
+    def run(value):
+        args = ["spectrum", "--potential", family, "--n-max", "2",
+                "--param", f"{depth}={value!r}"]
+        for param in params:
+            args += ["--param", param]
+        code, _ = run_cli(args)
+        return code, capsys.readouterr().err
+
+    below = run(threshold / 1.01)
+    assert "zero-point" not in below[1]
+    for k in range(321):
+        code, err = run(threshold * 10.0 ** (k / 8))
+        assert code == EXIT_INVALID, (k, err)
+        assert "cannot resolve its zero-point energy" in err
+
+
 def test_main_reuses_one_parser_across_calls():
     # main builds its parser once per process; later calls with other
     # subcommands and repeated --param flags must read as first calls do

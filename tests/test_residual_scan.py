@@ -5,10 +5,11 @@ definitions.
 energies in one numpy call, and ``solve_energy`` scans with it.  The scan
 must find the bracket the scalar loop below finds (the scan as it was
 before it was vectorized), so every energy stays bit-identical; only the
-bisection still calls the scalar ``quantization_residual``.
+refinement of the bracket still calls the scalar ``quantization_residual``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from specbound.cli import CLOSED_FORM_RTOL
 
 UNITS = UnitsConfig()
 SCAN_POINTS = parametric.DEFAULT_SCAN_POINTS
-#: scalar residual calls allowed per solved level: bisection only
+#: scalar residual calls allowed per solved level: refinement only
 SCALAR_CALLS_PER_LEVEL = 64
 
 # the desk parameter sets of the acceptance suite
@@ -104,7 +105,7 @@ def reference_solve(form, n, rc, above=None):
         for a, b, fa, fb in reference_scan(form, n, rc, a_lo, a_hi, SCAN_POINTS):
             if a == b:
                 return a, windows
-            return parametric._bisect(form, n, rc, a, b, fa, fb), windows
+            return parametric._root_in(form, n, rc, (a, b, fa, fb)), windows
     return None, windows
 
 
@@ -377,7 +378,7 @@ def test_array_residual_maps_infinities_to_nan():
 
 
 # --------------------------------------------------------------------------
-# work count: scalar residual calls are bisection only
+# work count: scalar residual calls are refinement only
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", DESK_CASES, ids=lambda s: s.family)
@@ -500,3 +501,85 @@ def test_levels_at_the_edge_of_resolution_stay_ordered_and_close(family, n, log_
     for state in states:
         expected = closed_form_energy(spec, 0, UNITS, state.n)
         assert abs(state.energy - expected) <= 1e-14 * (hi - lo)
+
+
+# --------------------------------------------------------------------------
+# the refiner's guards and its work
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [DESK_CASES[i] for i in (0, 2, 3, 6)],
+                         ids=lambda s: s.family)
+def test_refiner_steps_past_a_nan_stretch(spec, monkeypatch):
+    # the residual is NaN from 1e-14 beyond the root to the bracket end with
+    # the larger |residual|, the end the refiner steps away from
+    form, _ = to_parametric(spec, 0, UNITS)
+    rc = spec.root_choice()
+    bracket = parametric._first_bracket(form, 0, rc, *form.energy_window, SCAN_POINTS)
+    a, b, fa, fb = bracket
+    root = parametric._root_in(form, 0, rc, bracket)
+    far = a if abs(fa) > abs(fb) else b
+    edge = root + math.copysign(1e-14 * abs(root), far - root)
+    scalar = parametric.quantization_residual
+    hits = []
+
+    def patched(form, n, energy, root_choice=RootChoice()):
+        if min(edge, far) < energy < max(edge, far):
+            hits.append(energy)
+            return math.nan
+        return scalar(form, n, energy, root_choice)
+
+    monkeypatch.setattr(parametric, "quantization_residual", patched)
+    x = parametric._root_in(form, 0, rc, bracket)
+    assert hits
+    assert min(a, b) < x < max(a, b)
+    assert abs(x - root) <= 1e-15 * abs(root)
+    width = 1e-15 * abs(x)
+    fx = patched(form, 0, x, rc)
+    below, above = (patched(form, 0, x + s * width, rc) for s in (-1.0, 1.0))
+    assert fx == 0.0 or (below < 0.0) != (above < 0.0)
+
+
+def test_refiner_returns_an_exact_zero_at_a_trial_point(monkeypatch):
+    # a linear residual: the first secant step lands on its root, where the
+    # residual is exactly 0
+    form = _gamma2_form(lambda e: e - 0.5, (-1.0, 1.25))
+    fa, fb = quantization_residual(form, 0, -1.0), quantization_residual(form, 0, 1.25)
+    calls = []
+    scalar = parametric.quantization_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(parametric, "quantization_residual", counted)
+    assert parametric._root_in(form, 0, RootChoice(), (-1.0, 1.25, fa, fb)) == 0.5
+    assert calls == [0.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DESK_CASES), st.integers(0, 2), st.integers(0, 5))
+def test_refined_levels_match_the_closed_form_in_few_calls(spec, l, n_max):
+    # every level within 1e-12 of the closed form, in at most 12 scalar
+    # residual calls (bisection took about 38)
+    l = l if l in _desk_ls(spec) else 0
+    form, _ = to_parametric(spec, l, UNITS)
+    rc = spec.root_choice()
+    scalar = parametric.quantization_residual
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scalar(*args, **kwargs)
+
+    floor = None
+    with mock.patch.object(parametric, "quantization_residual", counted):
+        for n in range(n_max + 1):
+            try:
+                expected = closed_form_energy(spec, l, UNITS, n)
+            except NoBoundState:
+                break
+            calls.clear()
+            energy = solve_energy(form, n, rc, above=floor)
+            assert len(calls) <= 12, (n, len(calls))
+            assert abs(energy - expected) <= 1e-12 * abs(expected)
+            floor = math.nextafter(energy, math.inf)
