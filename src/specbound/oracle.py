@@ -83,8 +83,6 @@ class OracleSpectrum:
 
     eigenvalues: tuple[float, ...]
     grid: RadialGrid
-    boundary: tuple[str, str]
-    effective_potential_includes_centrifugal: bool
     asymptote: float
     richardson_shift: float
     grid_adequate: bool
@@ -684,8 +682,6 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     asym = pot.bound_asymptote(spec)
     bound = tuple(float(v) for v in values if v < asym)
     return OracleSpectrum(eigenvalues=bound, grid=grid,
-                          boundary=("dirichlet", "dirichlet"),
-                          effective_potential_includes_centrifugal=spec.radial,
                           asymptote=asym, richardson_shift=shift,
                           grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps,
                           seed_sweeps=solved.seed_sweeps)
@@ -725,7 +721,7 @@ def _tridiag_solve(sub, diag, sup, rhs):
 
 
 def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
-                   index: int, max_iter: int = 20):
+                   index: int):
     """Grid eigenfunction u(x) of the index-th bound level by inverse
     iteration at the converged grid eigenvalue.
 
@@ -748,7 +744,7 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
     rng = np.random.default_rng(20240817)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(20):
         w = _tridiag_solve(sub, shifted, sub, v)
         w /= np.linalg.norm(w)
         residual = np.linalg.norm((diag * w

@@ -36,10 +36,6 @@ from .errors import (
 JACOBI = "jacobi"
 LAGUERRE = "laguerre"
 
-#: absolute tolerance for algebraic identities (root substitution, gamma3 = 0)
-IDENTITY_TOL = 1e-12
-#: absolute tolerance for the r2 / r1 + r3 identities at solved energies
-CONSISTENCY_TOL = 1e-10
 #: threshold above which consistency_check raises instead of reporting
 CONSISTENCY_RAISE_TOL = 1e-8
 

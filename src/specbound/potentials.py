@@ -9,10 +9,13 @@ verification grid, and the Jacobian of its coordinate map, from which the
 norm of every state follows in closed form.
 
 Shared equations have one body each: ``_Family`` (root choice and
-energy-dependent form), ``_Well`` (asymptote and window of the 1-D wells)
-and ``_InversePower`` (map, coefficients and levels of C - A/r + B/r^2 for
-Mie, Kratzer-Fues, Coulomb and noncentral).  Poschl-Teller is the
-Rosen-Morse well with V1 = 0, V2 = 4 V0.
+energy-dependent form), ``_Well`` (asymptote and window of the 1-D wells),
+``_InversePower`` (map, coefficients and levels of C - A/r + B/r^2 for
+Mie, Kratzer-Fues, Coulomb and noncentral) and ``_StepWell`` (V, map,
+coefficients and well centre of Rosen-Morse, Woods-Saxon and
+Poschl-Teller).  Woods-Saxon is the Rosen-Morse well at a/2 and eta = 1
+lowered by V1, and Poschl-Teller is the Rosen-Morse well with V1 = 0,
+V2 = 4 V0; closed forms stay per family.
 
 Closed forms here are rederived from the termination condition, not copied
 from commonly printed variants, several of which carry transcription
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import cached_property
 from typing import Callable, ClassVar, Union
 
 import numpy as np
@@ -74,6 +76,8 @@ WALL_FRACTION = 1e4
 #: a sampling window ends where psi^2 times the measure has fallen below
 #: this fraction of its value at the classical turning point
 WINDOW_TAIL = 1e-16
+#: smallest normal float64; s or 1 + c3 s below it has lost precision
+_TINY = np.finfo(float).tiny
 
 
 def _require_finite(spec) -> None:
@@ -114,15 +118,16 @@ class CoordinateMap:
     ``base_of_x`` gives 1 + c3 s(x) on the Jacobi branch (None on the
     Laguerre branch) in a form free of cancellation: formed from s(x), it
     drops to rounding noise where s nears -1/c3, and so would the tail of
-    psi.
+    psi.  ``logs_of_x`` gives (log s, log(1 + c3 s)) there in closed form,
+    finite where s or 1 + c3 s underflow, so psi keeps its far tails.
     """
 
     s_of_x: Callable[[np.ndarray], np.ndarray]
     x_domain: tuple[float, float]
-    s_domain: tuple[float, float]
     measure: Callable[[np.ndarray], np.ndarray]
     jacobian: tuple[float, float, float]
     base_of_x: Callable[[np.ndarray], np.ndarray] | None = None
+    logs_of_x: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _radial_measure(x):
@@ -143,12 +148,12 @@ def _logistic(k: float, eta: float, x):
 #: s = r with the r^2 measure: the Mie, Kratzer-Fues, Coulomb and
 #: noncentral substitution
 _IDENTITY_RADIAL_MAP = CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
-                                     x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                                     measure=_radial_measure, jacobian=(1.0, 2.0, 0.0))
+                                     x_domain=(0.0, math.inf), measure=_radial_measure,
+                                     jacobian=(1.0, 2.0, 0.0))
 
 
 # --------------------------------------------------------------------------
-# family definitions: three shared bodies, then the nine families
+# family definitions: four shared bodies, then the nine families
 # --------------------------------------------------------------------------
 
 class _Family:
@@ -240,6 +245,76 @@ class _InversePower(_Family):
         return c - (units.hbar**2 / (2 * units.mass)) * (lam2 / d) ** 2
 
 
+class _StepWell(_Well):
+    """V = right (1 - eta s) + left eta s - depth eta s (1 - eta s) in
+    s = 1/(e^(2ax) + eta): a step from ``left`` (x -> -inf) to ``right``
+    (x -> +inf) with a pocket of ``depth``, on the Jacobi branch with
+    c1 = 1, c2 = -2 eta, c3 = -eta.  A family supplies ``_shape()`` =
+    (left, right, depth, a, eta)."""
+
+    branch: ClassVar[str] = JACOBI
+    # decay toward x -> -infinity needs the negative p root
+    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
+
+    def _s(self, x):
+        # 1/(e^{2ax} + eta) is e^{-2ax}/(1 + eta e^{-2ax}) in overflow-safe form
+        _, _, _, a, eta = self._shape()
+        with np.errstate(over="ignore"):
+            return 1.0 / (np.exp(2 * a * np.asarray(x, dtype=float)) + eta)
+
+    def _base(self, x):
+        _, _, _, a, eta = self._shape()
+        return _logistic(2 * a, eta, x)
+
+    def potential(self, x):
+        left, right, depth, _, eta = self._shape()
+        s = self._s(x)
+        one_minus = 1.0 - eta * s
+        return right * one_minus + left * eta * s - depth * eta * s * one_minus
+
+    def asymptote_sides(self) -> tuple[float, float]:
+        return self._shape()[:2]
+
+    def well_center(self) -> float:
+        # e^(2ax*) = 1/s* - eta, s* = (step + depth) / (2 depth eta) with
+        # step = right - left, without cancellation
+        left, right, depth, a, eta = self._shape()
+        step = right - left
+        excess = eta * ((depth - step) / (step + depth))
+        if not excess > 0:
+            raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
+        return math.log(excess) / (2 * a)
+
+    def _logs(self, x):
+        """(log s, log(1 - eta s)) in closed form, finite where s or 1 - eta s
+        underflows: -log(e^(2ax) + eta) and -log(1 + eta e^(-2ax))."""
+        _, _, _, a, eta = self._shape()
+        u = 2 * a * np.asarray(x, dtype=float)
+        log_eta = math.log(eta)
+        return -np.logaddexp(u, log_eta), -np.logaddexp(0.0, log_eta - u)
+
+    def coordinate_map(self, l, units) -> CoordinateMap:
+        # |dx/ds| = 1/(2a s (1 - eta s)); bound methods, so that the maps and
+        # states of equal wells compare equal
+        a = self._shape()[3]
+        return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
+                             measure=_flat_measure, jacobian=(0.5 / a, -1.0, -1.0),
+                             base_of_x=self._base, logs_of_x=self._logs)
+
+    def _coeff_at(self, l, units):
+        left, right, depth, a, eta = self._shape()
+        c = units.mass / (2 * units.hbar**2 * a**2)
+        lam1 = c * depth * eta * eta
+        lam2 = c * (right - left) * eta + c * depth * eta
+
+        def coeff_at(energy: float) -> ParametricCoefficients:
+            return ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
+                                          lambda1=lam1, lambda2=lam2,
+                                          lambda3=c * (right - energy))
+
+        return coeff_at
+
+
 @dataclass(frozen=True)
 class GeneralizedMorse(_Well):
     """V(x) = V1 exp(-2 a x) - V2 exp(-a x) on the full line."""
@@ -279,8 +354,7 @@ class GeneralizedMorse(_Well):
 
         # |dx/ds| = 1/(a s)
         return CoordinateMap(s_of_x=s_of_x, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, math.inf), measure=_flat_measure,
-                             jacobian=(1.0 / a, -1.0, 0.0))
+                             measure=_flat_measure, jacobian=(1.0 / a, -1.0, 0.0))
 
     def _coeff_at(self, l, units):
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -429,8 +503,8 @@ class Pseudoharmonic(_Family):
     def coordinate_map(self, l, units) -> CoordinateMap:
         # r^2 |dr/ds| = s / (2 sqrt(s))
         return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float) ** 2,
-                             x_domain=(0.0, math.inf), s_domain=(0.0, math.inf),
-                             measure=_radial_measure, jacobian=(0.5, 0.5, 0.0))
+                             x_domain=(0.0, math.inf), measure=_radial_measure,
+                             jacobian=(0.5, 0.5, 0.0))
 
     def _lams(self, l, units):
         lam1 = units.mass * self.V0 / (2 * units.hbar**2 * self.r0**2)
@@ -507,7 +581,7 @@ class NoncentralRadial(_InversePower):
 
 
 @dataclass(frozen=True)
-class DeformedRosenMorse(_Well):
+class DeformedRosenMorse(_StepWell):
     """V(x) = V1/(1 + eta e^(-2ax)) - V2 eta e^(-2ax)/(1 + eta e^(-2ax))^2.
 
     Asymmetric step of height V1 (right asymptote) with an attractive
@@ -522,11 +596,8 @@ class DeformedRosenMorse(_Well):
 
     family: ClassVar[str] = "rosen_morse"
     label: ClassVar[str] = "Deformed Rosen-Morse"
-    branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy",
                                    "a": "1/length", "eta": "dimensionless"}
-    # decay toward x -> -infinity needs the negative p root
-    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -537,55 +608,12 @@ class DeformedRosenMorse(_Well):
         if self.a <= 0 or self.eta <= 0:
             raise InvalidParameters("Rosen-Morse needs a > 0 and eta > 0")
 
-    def _s(self, x):
-        # 1/(e^{2ax} + eta) is e^{-2ax}/(1 + eta e^{-2ax}) in overflow-safe form
-        with np.errstate(over="ignore"):
-            return 1.0 / (np.exp(2 * self.a * np.asarray(x, dtype=float)) + self.eta)
-
-    def _base(self, x):
-        return _logistic(2 * self.a, self.eta, x)
-
-    def potential(self, x):
-        s = self._s(x)
-        one_minus = 1.0 - self.eta * s
-        return self.V1 * one_minus - self.V2 * self.eta * s * one_minus
-
-    def asymptote_sides(self) -> tuple[float, float]:
-        return (0.0, self.V1)
-
-    def well_center(self) -> float:
-        # e^(2ax*) = 1/s* - eta, s* = (V1 + V2) / (2 V2 eta), without cancellation
-        excess = self.eta * ((self.V2 - self.V1) / (self.V1 + self.V2))
-        if not excess > 0:
-            raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
-        return math.log(excess) / (2 * self.a)
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        # |dx/ds| = 1/(2a s (1 - eta s))
-        return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0 / self.eta), measure=_flat_measure,
-                             jacobian=(0.5 / self.a, -1.0, -1.0),
-                             base_of_x=self._base)
-
-    def _scaled(self, units):
-        c = units.mass / (2 * units.hbar**2 * self.a**2)
-        kappa = c * self.V1
-        gamma = c * self.V2 * self.eta
-        return c, kappa, gamma
-
-    def _coeff_at(self, l, units):
-        c, kappa, gamma = self._scaled(units)
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=-2 * self.eta, c3=-self.eta,
-                                          lambda1=gamma * self.eta,
-                                          lambda2=kappa * self.eta + gamma,
-                                          lambda3=c * (self.V1 - energy))
-
-        return coeff_at
+    def _shape(self):
+        return 0.0, self.V1, self.V2, self.a, self.eta
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
-        c, kappa, gamma = self._scaled(units)
+        c = units.mass / (2 * units.hbar**2 * self.a**2)
+        kappa, gamma = c * self.V1, c * self.V2 * self.eta
         w = 0.5 * (math.sqrt(1 + 4 * gamma / self.eta) - 1.0)
         s_n = w - n
         if s_n <= math.sqrt(kappa):
@@ -595,11 +623,12 @@ class DeformedRosenMorse(_Well):
 
 
 @dataclass(frozen=True)
-class WoodsSaxon(_Well):
+class WoodsSaxon(_StepWell):
     """V(x) = -V1/(1 + e^(ax)) - V2 e^(ax)/(1 + e^(ax))^2 on the full line.
 
     Left asymptote -V1, right asymptote 0; bound states live below -V1 and
-    exist only when the V2 pocket is deep enough.
+    exist only when the V2 pocket is deep enough.  It is the Rosen-Morse
+    well at a/2 and eta = 1, lowered by V1; the closed form stays its own.
     """
 
     V1: float
@@ -608,9 +637,7 @@ class WoodsSaxon(_Well):
 
     family: ClassVar[str] = "woods_saxon"
     label: ClassVar[str] = "Generalized Woods-Saxon"
-    branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V1": "energy", "V2": "energy", "a": "1/length"}
-    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -621,44 +648,8 @@ class WoodsSaxon(_Well):
         if self.a <= 0:
             raise InvalidParameters("Woods-Saxon needs a > 0")
 
-    def _s(self, x):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(self.a * np.asarray(x, dtype=float)))
-
-    def _base(self, x):
-        return _logistic(self.a, 1.0, x)
-
-    def potential(self, x):
-        s = self._s(x)
-        return -self.V1 * s - self.V2 * s * (1.0 - s)
-
-    def asymptote_sides(self) -> tuple[float, float]:
-        return (-self.V1, 0.0)
-
-    def well_center(self) -> float:
-        # e^(ax*) = 1/s* - 1 with s* = (V1 + V2) / (2 V2), as for Rosen-Morse
-        excess = (self.V2 - self.V1) / (self.V1 + self.V2)
-        if not excess > 0:
-            raise WindowDegenerate("potential has no interior minimum (V1 >= V2)")
-        return math.log(excess) / self.a
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        # |dx/ds| = 1/(a s (1 - s))
-        return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
-                             s_domain=(0.0, 1.0), measure=_flat_measure,
-                             jacobian=(1.0 / self.a, -1.0, -1.0),
-                             base_of_x=self._base)
-
-    def _coeff_at(self, l, units):
-        b = 2 * units.mass / (units.hbar**2 * self.a**2)
-        lam1, lam2 = b * self.V2, b * (self.V1 + self.V2)
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=-2.0, c3=-1.0,
-                                          lambda1=lam1, lambda2=lam2,
-                                          lambda3=-b * energy)
-
-        return coeff_at
+    def _shape(self):
+        return -self.V1, 0.0, self.V2, self.a / 2, 1.0
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -673,12 +664,12 @@ class WoodsSaxon(_Well):
 
 
 @dataclass(frozen=True)
-class PoschlTeller(_Well):
+class PoschlTeller(_StepWell):
     """V(x) = -4 V0 eta e^(-2ax) / (1 + eta e^(-2ax))^2.
 
     For eta = 1 this is the -V0 / cosh^2(ax) well; eta > 0 only shifts it.
-    It is the Rosen-Morse well with V1 = 0 and V2 = 4 V0, which supplies V,
-    the coordinate map and the coefficients; the closed form stays its own.
+    It is the Rosen-Morse well with V1 = 0 and V2 = 4 V0; the closed form
+    stays its own.
     """
 
     V0: float
@@ -687,9 +678,7 @@ class PoschlTeller(_Well):
 
     family: ClassVar[str] = "poschl_teller"
     label: ClassVar[str] = "Poschl-Teller"
-    branch: ClassVar[str] = JACOBI
     param_units: ClassVar[dict] = {"V0": "energy", "a": "1/length", "eta": "dimensionless"}
-    _roots: ClassVar[RootChoice] = RootChoice(q_sign=+1, p_sign=-1)
 
     def __post_init__(self):
         _require_finite(self)
@@ -700,25 +689,8 @@ class PoschlTeller(_Well):
         if self.a <= 0 or self.eta <= 0:
             raise InvalidParameters("Poschl-Teller needs a > 0 and eta > 0")
 
-    @cached_property
-    def _rosen_morse(self) -> DeformedRosenMorse:
-        # built once per instance: spectrum and the oracle call V many times
-        return DeformedRosenMorse(0.0, 4 * self.V0, self.a, self.eta)
-
-    def potential(self, x):
-        return self._rosen_morse.potential(x)
-
-    def asymptote_sides(self) -> tuple[float, float]:
-        return (0.0, 0.0)
-
-    def well_center(self) -> float:
-        return math.log(self.eta) / (2 * self.a)
-
-    def coordinate_map(self, l, units) -> CoordinateMap:
-        return self._rosen_morse.coordinate_map(l, units)
-
-    def _coeff_at(self, l, units):
-        return self._rosen_morse._coeff_at(l, units)
+    def _shape(self):
+        return 0.0, 0.0, 4 * self.V0, self.a, self.eta
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         c = units.mass / (2 * units.hbar**2 * self.a**2)
@@ -977,10 +949,9 @@ def _prefactor_peak(pc: ParametricCoefficients,
 
 def _unnormalized_psi(pc: ParametricCoefficients,
                       constants: JacobiBranchConstants | LaguerreBranchConstants,
-                      n: int, s: np.ndarray, base: np.ndarray | None) -> np.ndarray:
-    """psi at s, divided by the peak value of its prefactor; ``base`` is
-    1 + c3 s on the Jacobi branch (unused on the Laguerre branch)."""
-    s = np.asarray(s, dtype=float)
+                      n: int, x: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
+    """psi at x, divided by the peak value of its prefactor."""
+    s = np.asarray(cmap.s_of_x(x), dtype=float)
     out = np.zeros_like(s)
     s_star, _ = _prefactor_peak(pc, constants)
     # the prefactor as exp(t), t <= 0, avoids 0 * inf overflow at large s
@@ -998,12 +969,23 @@ def _unnormalized_psi(pc: ParametricCoefficients,
             out[s == 0.0] = float(laguerre_eval(n, k, 0.0))
     else:
         q, p = constants.q0, constants.p0
+        base = cmap.base_of_x(x)
+        base_star = 1.0 + pc.c3 * s_star
         z = 1.0 + 2.0 * pc.c3 * s
-        pos = (s > 0) & (base > 0)
-        t[pos] = -p * np.log(base[pos] / (1.0 + pc.c3 * s_star))
+        normal = (s >= _TINY) & (base >= _TINY)
+        t[normal] = -p * np.log(base[normal] / base_star)
         if q != 0.0:
-            t[pos] += q * np.log(s[pos] / s_star)
-        live = pos & (t > -700.0)
+            t[normal] += q * np.log(s[normal] / s_star)
+        # where s or 1 + c3 s is subnormal or 0 (e^(2ax) or eta e^(-2ax) near
+        # overflow), both logs come in closed form: a weakly bound level
+        # still has weight there
+        if not normal.all():
+            tail = ~normal
+            log_s, log_base = cmap.logs_of_x(x[tail])
+            t[tail] = -p * (log_base - math.log(base_star))
+            if q != 0.0:
+                t[tail] += q * (log_s - math.log(s_star))
+        live = t > -700.0
         out[live] = np.exp(t[live]) * np.asarray(
             jacobi_eval(n, constants.alpha, constants.beta, z[live]))
     return out
@@ -1066,11 +1048,8 @@ def wavefunction(state: BoundState, x):
     lo, hi = state.cmap.x_domain
     if np.any(x_arr < lo) or np.any(x_arr > hi):
         raise OutOfDomain(f"coordinate outside domain [{lo}, {hi}]")
-    cmap = state.cmap
-    s = np.asarray(cmap.s_of_x(x_arr), dtype=float)
-    base = None if cmap.base_of_x is None else cmap.base_of_x(x_arr)
     psi = state.norm_constant * _unnormalized_psi(state.coefficients, state.constants,
-                                                  state.n, s, base)
+                                                  state.n, x_arr, state.cmap)
     return float(psi[0]) if scalar else psi
 
 

@@ -180,6 +180,10 @@ def test_wavefunction_second_excited_has_two_sign_changes():
     (["--potential", "coulomb", "--param", "e2=1", "--hbar", "1e-3"], 1),
     (["--potential", "morse", "--param", "V1=100", "--param", "V2=20", "--param", "a=1",
       "--mass", "1e6"], 3),
+    # tails past the points where the Jacobi map's exponentials overflow
+    (["--potential", "poschl_teller", "--param", "V0=0.13215192124256028",
+      "--param", "a=9.111073309911097", "--param", "eta=9.600103659498778",
+      "--hbar", "0.9391053389991925", "--mass", "0.15843283062938884"], 0),
 ])
 def test_wavefunction_samples_the_window_of_the_state(args, n):
     # without --grid the samples span the state itself: at hbar = 1e-3 the

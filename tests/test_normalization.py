@@ -7,6 +7,8 @@ s(x), 1 + c3 s(x), the measure and the polynomials evaluated by mpmath at
 enter the reference value.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -172,6 +174,27 @@ def test_weakly_bound_jacobi_level_keeps_its_left_tail(spec, n):
         for x_far in (-30.0, -60.0, -120.0):
             expected = float(scale * _mp_psi(state, mpmath.mpf(x_far)))
             assert wavefunction(state, x_far) == pytest.approx(expected, rel=1e-9)
+
+
+def test_jacobi_tails_reach_past_the_overflow_of_the_map():
+    # a level bound so weakly that its tails reach past x = 38.95, where
+    # e^(2ax) overflows and s underflows, and past x = -38.83, where
+    # eta e^(-2ax) overflows and 1 + c3 s underflows
+    spec = PoschlTeller(0.13215192124256028, 9.111073309911097, 9.600103659498778)
+    units = UnitsConfig(0.9391053389991925, 0.15843283062938884)
+    state = spectrum(spec, 0, units)[0]
+    u_max = math.log(np.finfo(float).max)
+    right = u_max / (2 * spec.a)
+    left = (math.log(spec.eta) - u_max) / (2 * spec.a)
+    s_tiny = math.log(1.0 / np.finfo(float).tiny) / (2 * spec.a)
+    x = np.array([left - 1000.0, left - 1.0, left + 1.0, s_tiny - 0.01, s_tiny + 0.01,
+                  right - 1.0, right + 1.0, right + 1000.0])
+    psi = wavefunction(state, x)
+    assert np.all(psi > 0.0)
+    with mpmath.workdps(30):
+        scale = wavefunction(state, 0.0) / _mp_psi(state, mpmath.mpf(0))
+        expected = [float(scale * _mp_psi(state, mpmath.mpf(v))) for v in x]
+    np.testing.assert_allclose(psi, expected, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [DeformedRosenMorse(4.0, 8.0, 0.5, 2.0),

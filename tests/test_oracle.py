@@ -248,10 +248,10 @@ def _full_sturm(pot, edges, lam):
     return sum(p < 0 for p, *_ in _excess_loads(pot, edges, lam))
 
 
-def _offdiagonals(n):
+def _offdiagonals(n, entries=_entries):
     return st.one_of(
-        st.lists(_entries, min_size=n - 1, max_size=n - 1),
-        _entries.map(lambda b: [b] * (n - 1)),
+        st.lists(entries, min_size=n - 1, max_size=n - 1),
+        entries.map(lambda b: [b] * (n - 1)),
         st.just([0.0] * (n - 1)))
 
 
@@ -452,13 +452,14 @@ def _assert_count_matches(diag, off, lam, eigenvalues):
 _specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
 
 
-def _tridiagonals(n, entries=_entries):
+def _tridiagonals(n, entries=_entries, off_entries=_entries):
     """A diagonal and off-diagonals of order n: uniform random entries, for
     which lam inside the spectrum almost always meets a pivot that is not
     safe to eliminate, or a discretized -t u'' + V u with couplings -t (or
     within 10% of it), which lam in the lower spectrum reduces for several
     levels, as it does the oracle's matrices."""
-    general = st.tuples(st.lists(entries, min_size=n, max_size=n), _offdiagonals(n))
+    general = st.tuples(st.lists(entries, min_size=n, max_size=n),
+                        _offdiagonals(n, off_entries))
 
     def operator(t):
         couplings = st.one_of(
@@ -660,7 +661,7 @@ def test_sweeps_are_exactly_covariant_under_power_of_two_scaling(data):
     normal = _entries.map(lambda v: v if abs(v) > 1e-100 else 0.0)
     floor = data.draw(st.sampled_from([4, 8, 16]))
     n = data.draw(st.integers(1, 8 * floor))
-    diag, off = data.draw(_tridiagonals(n, normal))
+    diag, off = data.draw(_tridiagonals(n, normal, normal))
     lam = data.draw(st.one_of(normal, st.sampled_from(diag)))
     pot, edges = _form(diag, off)
     with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
