@@ -47,7 +47,12 @@ TOP_EDGE_ULPS = 64
 
 @dataclass(frozen=True)
 class ParametricCoefficients:
-    """The tuple (c1, c2, c3, L1, L2, L3) at one fixed trial energy."""
+    """The tuple (c1, c2, c3, L1, L2, L3) at one fixed trial energy.
+
+    ``H`` is the decay term L1/c3^2 + L2/c3 + L3 of the c3 != 0 branch, the
+    constant of the p0 quadratic.  A family whose L_i share large terms
+    that cancel in that sum declares H directly; left None, it is that sum.
+    """
 
     c1: float
     c2: float
@@ -55,6 +60,7 @@ class ParametricCoefficients:
     lambda1: float
     lambda2: float
     lambda3: float
+    H: float | None = None
 
     @property
     def branch(self) -> str:
@@ -171,7 +177,7 @@ def _jacobi_core(pc, root_choice, sqrt):
 
     ratio = c2 / c3
     big_d = ratio - c1 - 1.0
-    big_h = l1 / c3**2 + l2 / c3 + l3
+    big_h = pc.H if pc.H is not None else l1 / c3**2 + l2 / c3 + l3
     p0 = big_d / 2.0 + root_choice.p_sign * sqrt((big_d / 2.0) ** 2 + big_h, "p")
 
     alpha = 2.0 * q0 + c1 - 1.0
@@ -210,7 +216,8 @@ def solve_jacobi_constants(pc: ParametricCoefficients,
     """Fix the two free exponents (q0, p0) of the c3 != 0 branch.
 
     q0 solves q^2 - (1 - c1) q - L3 = 0 and p0 solves p^2 - D p - H = 0
-    with D = c2/c3 - c1 - 1 and H = L1/c3^2 + L2/c3 + L3.  With both in
+    with D = c2/c3 - c1 - 1 and H = L1/c3^2 + L2/c3 + L3 (or the H the
+    coefficients declare).  With both in
     place the polynomial coefficients satisfy r2 = 0 and r1 = -r3
     identically, which this routine also evaluates and returns for
     diagnostics.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Callable, ClassVar, Union
 
 import numpy as np
@@ -76,8 +77,6 @@ WALL_FRACTION = 1e4
 #: a sampling window ends where psi^2 times the measure has fallen below
 #: this fraction of its value at the classical turning point
 WINDOW_TAIL = 1e-16
-#: smallest normal float64; s or 1 + c3 s below it has lost precision
-_TINY = np.finfo(float).tiny
 
 
 def _require_finite(spec) -> None:
@@ -115,19 +114,18 @@ class CoordinateMap:
     parametric form.  It turns every norm integral into a Laguerre or
     Jacobi weight integral with a closed form.
 
-    ``base_of_x`` gives 1 + c3 s(x) on the Jacobi branch (None on the
-    Laguerre branch) in a form free of cancellation: formed from s(x), it
-    drops to rounding noise where s nears -1/c3, and so would the tail of
-    psi.  ``logs_of_x`` gives (log s, log(1 + c3 s)) there in closed form,
-    finite where s or 1 + c3 s underflow, so psi keeps its far tails.
+    ``logs_of_x`` gives (log s, log(1 + c3 s)) in closed form in x, the
+    second 0 on the Laguerre branch (c3 = 0); psi's prefactor is built from
+    them alone.  Formed from s(x), 1 + c3 s cancels to rounding noise near
+    s = -1/c3, and s or 1 + c3 s underflows far out, where a weakly bound
+    level still has weight; the closed forms stay finite and exact there.
     """
 
     s_of_x: Callable[[np.ndarray], np.ndarray]
     x_domain: tuple[float, float]
     measure: Callable[[np.ndarray], np.ndarray]
     jacobian: tuple[float, float, float]
-    base_of_x: Callable[[np.ndarray], np.ndarray] | None = None
-    logs_of_x: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    logs_of_x: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _radial_measure(x):
@@ -138,18 +136,21 @@ def _flat_measure(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _logistic(k: float, eta: float, x):
-    """1/(1 + eta e^(-k x)), which is 1 - eta/(e^(k x) + eta) without the
-    cancellation; it underflows to 0 rather than overflowing."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + eta * np.exp(-k * np.asarray(x, dtype=float)))
+def _radial_logs(power: float):
+    """``logs_of_x`` of s = r^power: (power log r, 0), log 0 = -inf."""
+    def logs_of_x(r):
+        with np.errstate(divide="ignore"):
+            log_r = np.log(np.asarray(r, dtype=float))
+        return power * log_r, np.zeros_like(log_r)
+
+    return logs_of_x
 
 
 #: s = r with the r^2 measure: the Mie, Kratzer-Fues, Coulomb and
 #: noncentral substitution
 _IDENTITY_RADIAL_MAP = CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float),
                                      x_domain=(0.0, math.inf), measure=_radial_measure,
-                                     jacobian=(1.0, 2.0, 0.0))
+                                     jacobian=(1.0, 2.0, 0.0), logs_of_x=_radial_logs(1.0))
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +180,7 @@ class _Family:
             coeff_at = self._coeff_at(l, units)
             window = self.energy_window(l, units)
             values = [v for e in window if e != math.inf
-                      for v in (e, *astuple(coeff_at(e)))]
+                      for v in (e, *astuple(coeff_at(e))) if v is not None]
         except OverflowError:
             values = [math.inf]
         if not all(math.isfinite(4.0 * v) for v in values):
@@ -262,10 +263,6 @@ class _StepWell(_Well):
         with np.errstate(over="ignore"):
             return 1.0 / (np.exp(2 * a * np.asarray(x, dtype=float)) + eta)
 
-    def _base(self, x):
-        _, _, _, a, eta = self._shape()
-        return _logistic(2 * a, eta, x)
-
     def potential(self, x):
         left, right, depth, _, eta = self._shape()
         s = self._s(x)
@@ -287,11 +284,15 @@ class _StepWell(_Well):
 
     def _logs(self, x):
         """(log s, log(1 - eta s)) in closed form, finite where s or 1 - eta s
-        underflows: -log(e^(2ax) + eta) and -log(1 + eta e^(-2ax))."""
+        underflows: -log(e^(2ax) + eta) and -log(1 + eta e^(-2ax)).  Both are
+        logaddexp forms in d = 2ax - log eta and share log1p(e^(-|d|));
+        np.logaddexp itself runs a scalar loop, 5 times slower than these."""
         _, _, _, a, eta = self._shape()
         u = 2 * a * np.asarray(x, dtype=float)
         log_eta = math.log(eta)
-        return -np.logaddexp(u, log_eta), -np.logaddexp(0.0, log_eta - u)
+        d = u - log_eta
+        shared = np.log1p(np.exp(-np.abs(d)))
+        return -(np.maximum(u, log_eta) + shared), np.minimum(d, 0.0) - shared
 
     def coordinate_map(self, l, units) -> CoordinateMap:
         # |dx/ds| = 1/(2a s (1 - eta s)); bound methods, so that the maps and
@@ -299,7 +300,7 @@ class _StepWell(_Well):
         a = self._shape()[3]
         return CoordinateMap(s_of_x=self._s, x_domain=(-math.inf, math.inf),
                              measure=_flat_measure, jacobian=(0.5 / a, -1.0, -1.0),
-                             base_of_x=self._base, logs_of_x=self._logs)
+                             logs_of_x=self._logs)
 
     def _coeff_at(self, l, units):
         left, right, depth, a, eta = self._shape()
@@ -307,10 +308,14 @@ class _StepWell(_Well):
         lam1 = c * depth * eta * eta
         lam2 = c * (right - left) * eta + c * depth * eta
 
+        # H declared: the sum L1/c3^2 + L2/c3 + L3 = c (left - E) cancels
+        # terms of size c depth and c (right - left) down to the binding below
+        # the left asymptote, and a weakly bound level loses its digits to it
         def coeff_at(energy: float) -> ParametricCoefficients:
             return ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
                                           lambda1=lam1, lambda2=lam2,
-                                          lambda3=c * (right - energy))
+                                          lambda3=c * (right - energy),
+                                          H=c * (left - energy))
 
         return coeff_at
 
@@ -352,9 +357,14 @@ class GeneralizedMorse(_Well):
         def s_of_x(x):
             return root_v1 * np.exp(-a * np.asarray(x, dtype=float))
 
+        def logs_of_x(x):
+            log_s = math.log(root_v1) - a * np.asarray(x, dtype=float)
+            return log_s, np.zeros_like(log_s)
+
         # |dx/ds| = 1/(a s)
         return CoordinateMap(s_of_x=s_of_x, x_domain=(-math.inf, math.inf),
-                             measure=_flat_measure, jacobian=(1.0 / a, -1.0, 0.0))
+                             measure=_flat_measure, jacobian=(1.0 / a, -1.0, 0.0),
+                             logs_of_x=logs_of_x)
 
     def _coeff_at(self, l, units):
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
@@ -504,7 +514,7 @@ class Pseudoharmonic(_Family):
         # r^2 |dr/ds| = s / (2 sqrt(s))
         return CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float) ** 2,
                              x_domain=(0.0, math.inf), measure=_radial_measure,
-                             jacobian=(0.5, 0.5, 0.0))
+                             jacobian=(0.5, 0.5, 0.0), logs_of_x=_radial_logs(2.0))
 
     def _lams(self, l, units):
         lam1 = units.mass * self.V0 / (2 * units.hbar**2 * self.r0**2)
@@ -950,44 +960,33 @@ def _prefactor_peak(pc: ParametricCoefficients,
 def _unnormalized_psi(pc: ParametricCoefficients,
                       constants: JacobiBranchConstants | LaguerreBranchConstants,
                       n: int, x: np.ndarray, cmap: CoordinateMap) -> np.ndarray:
-    """psi at x, divided by the peak value of its prefactor."""
+    """psi at x, divided by the peak value of its prefactor.
+
+    The prefactor is exp(t), t <= 0, with t from the map's closed-form logs
+    (``CoordinateMap.logs_of_x``) at every point: -p (s - s*) + q (log s -
+    log s*) on the Laguerre branch, -p (log(1 + c3 s) - log(1 + c3 s*)) +
+    q (log s - log s*) on the Jacobi branch, without the q term at q = 0
+    (s* = 0).  So no 0 * inf arises at large s, and the tails hold where s
+    or 1 + c3 s underflows.
+    """
     s = np.asarray(cmap.s_of_x(x), dtype=float)
-    out = np.zeros_like(s)
+    log_s, log_base = cmap.logs_of_x(x)
     s_star, _ = _prefactor_peak(pc, constants)
-    # the prefactor as exp(t), t <= 0, avoids 0 * inf overflow at large s
-    t = np.full_like(s, -np.inf)
     if isinstance(constants, LaguerreBranchConstants):
-        q, p, k = constants.q10, constants.p10, constants.k
+        q, p = constants.q10, constants.p10
+        t = -p * (s - s_star)
+        poly = partial(laguerre_eval, n, constants.k)
         y = (2 * p - pc.c2) * s
-        pos = s > 0
-        t[pos] = -p * (s[pos] - s_star)
-        if q != 0.0:
-            t[pos] += q * np.log(s[pos] / s_star)
-        live = pos & (t > -700.0)
-        out[live] = np.exp(t[live]) * np.asarray(laguerre_eval(n, k, y[live]))
-        if q == 0.0:
-            out[s == 0.0] = float(laguerre_eval(n, k, 0.0))
     else:
         q, p = constants.q0, constants.p0
-        base = cmap.base_of_x(x)
-        base_star = 1.0 + pc.c3 * s_star
-        z = 1.0 + 2.0 * pc.c3 * s
-        normal = (s >= _TINY) & (base >= _TINY)
-        t[normal] = -p * np.log(base[normal] / base_star)
-        if q != 0.0:
-            t[normal] += q * np.log(s[normal] / s_star)
-        # where s or 1 + c3 s is subnormal or 0 (e^(2ax) or eta e^(-2ax) near
-        # overflow), both logs come in closed form: a weakly bound level
-        # still has weight there
-        if not normal.all():
-            tail = ~normal
-            log_s, log_base = cmap.logs_of_x(x[tail])
-            t[tail] = -p * (log_base - math.log(base_star))
-            if q != 0.0:
-                t[tail] += q * (log_s - math.log(s_star))
-        live = t > -700.0
-        out[live] = np.exp(t[live]) * np.asarray(
-            jacobi_eval(n, constants.alpha, constants.beta, z[live]))
+        t = -p * (log_base - math.log1p(pc.c3 * s_star))
+        poly = partial(jacobi_eval, n, constants.alpha, constants.beta)
+        y = 1.0 + 2.0 * pc.c3 * s
+    if q != 0.0:
+        t = t + q * (log_s - math.log(s_star))
+    out = np.zeros_like(s)
+    live = t > -700.0
+    out[live] = np.exp(t[live]) * np.asarray(poly(y[live]))
     return out
 
 
@@ -1134,11 +1133,15 @@ def _check_zero_point(spec, units: UnitsConfig, bottom: float) -> None:
     the scan finds fewer than the well binds.
 
     The zero-point energy is the harmonic one, (hbar/2) sqrt(V''/m), with
-    V'' the second difference of V over 1e-3 / a at the well's analytic
-    stationary point.
+    V'' the second difference of V at the well's analytic stationary point.
+    Its step starts at 1e-3 / a and doubles, up to 1 / a, until V has risen
+    by 2^20 ulp of the bottom: over a shorter step a shallow pocket on a
+    deep step rises by less than the rounding of V.
     """
     x = spec.well_center()
-    step = 1e-3 / spec.a
+    step, widest, rise = 1e-3 / spec.a, 1.0 / spec.a, 2.0**20 * math.ulp(bottom)
+    while step < widest and float(spec.potential(x + step)) - bottom < rise:
+        step = min(2.0 * step, widest)
     curvature = (float(spec.potential(x + step)) - 2.0 * bottom
                  + float(spec.potential(x - step))) / (step * step)
     zero_point = 0.5 * units.hbar * math.sqrt(max(curvature, 0.0) / units.mass)

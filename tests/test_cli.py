@@ -106,6 +106,16 @@ def test_spectrum_exhausted_exit_code():
     assert code == EXIT_NO_BOUND_STATE
 
 
+def test_shallow_pocket_on_a_deep_step_holds_no_level(capsys):
+    # the pocket is 2.5e-11 deep below -V1 = -1: over the zero-point rule's
+    # first step of 1e-3 it rises by less than the rounding of V, which read
+    # as a zero curvature and refused the well as unresolvable (exit 2)
+    code, _ = run_cli(["spectrum", "--potential", "woods_saxon", "--param", "V1=0.99999",
+                       "--param", "V2=1", "--param", "a=1"])
+    assert code == EXIT_NO_BOUND_STATE
+    assert "zero-point" not in capsys.readouterr().err
+
+
 def test_invalid_parameters_exit_code():
     code, _ = run_cli(["spectrum", "--potential", "morse",
                        "--param", "V1=-5", "--param", "V2=1", "--param", "a=1"])

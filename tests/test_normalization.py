@@ -53,6 +53,19 @@ def _mp_s_and_base(spec, x):
     return 1 / (e + spec.eta), e / (e + spec.eta)
 
 
+def _mp_logs(spec, x):
+    """log s(x) and log(1 + c3 s(x)) at 30 digits.  For the step wells both
+    go through log1p: far out, s = 1/(e^(2ax) + eta) and 1 - eta s =
+    1/(1 + eta e^(-2ax)) round to 1/eta and 1 at 30 digits, which would drop
+    the small parts of their logs that the test compares."""
+    s, base = _mp_s_and_base(spec, x)
+    if spec.radial or isinstance(spec, GeneralizedMorse):
+        return mpmath.log(s), mpmath.log(base)
+    a, eta = (spec.a / 2, 1) if isinstance(spec, WoodsSaxon) else (spec.a, spec.eta)
+    e = mpmath.exp(2 * a * x)
+    return -mpmath.log(eta) - mpmath.log1p(e / eta), -mpmath.log1p(eta / e)
+
+
 def _mp_psi(state, x):
     """The textbook, unscaled psi: s^q e^(-p s) L_n^k(2 p s) or
     s^q (1 + c3 s)^(-p) P_n^(alpha, beta)(1 + 2 c3 s)."""
@@ -197,22 +210,70 @@ def test_jacobi_tails_reach_past_the_overflow_of_the_map():
     np.testing.assert_allclose(psi, expected, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("spec", [DeformedRosenMorse(4.0, 8.0, 0.5, 2.0),
-                                  WoodsSaxon(5.0, 10.0, 0.25),
-                                  PoschlTeller(10.0, 2.0, 0.5)],
-                         ids=lambda s: s.family)
-def test_coordinate_map_base_is_cancellation_free(spec):
-    _, cmap = to_parametric(spec, 0, UNITS)
-    x = np.array([-400.0, -100.0, -20.0, -1.0, 0.0, 1.0, 20.0, 400.0])
-    base = cmap.base_of_x(x)
+def test_morse_tail_reaches_past_the_underflow_of_the_map():
+    # n = 1 is bound by 1.15e-7 only: psi^2 decays as e^(-9.6e-4 x) on the
+    # right, far past x = 745.13, where s = 10 e^(-x) underflows to 0
+    spec = GeneralizedMorse(100.0, 21.22, 1.0)
+    state = spectrum(spec, 0, UNITS, n_max=1)[1]
+    x = np.linspace(-5.0, 4e4, 400_001)
+    psi = wavefunction(state, x)
+    assert abs(simpson_integrate(psi * psi, x[1] - x[0]) - 1.0) < 1e-8
+    x0 = float(x[int(np.argmax(np.abs(psi)))])
+    x_far = np.array([700.0, 746.0, 1000.0, 1e4])
     with mpmath.workdps(30):
-        expected = [float(_mp_s_and_base(spec, mpmath.mpf(v))[1]) for v in x]
-    np.testing.assert_allclose(base, expected, rtol=1e-14, atol=0.0)
+        scale = wavefunction(state, x0) / _mp_psi(state, mpmath.mpf(x0))
+        expected = [float(scale * _mp_psi(state, mpmath.mpf(v))) for v in x_far]
+    np.testing.assert_allclose(wavefunction(state, x_far), expected, rtol=1e-9, atol=0.0)
 
 
-def test_laguerre_maps_carry_no_base():
-    for spec in (GeneralizedMorse(100.0, 20.0, 1.0), Coulomb(1.0), Pseudoharmonic(2.0, 1.0)):
-        assert to_parametric(spec, 0, UNITS)[1].base_of_x is None
+def _overflow_points(spec):
+    """Where e^(2ax) overflows (s underflows) and where eta e^(-2ax)
+    overflows (1 + c3 s underflows), for a step well in s = 1/(e^(2ax) + eta)."""
+    _, _, _, a, eta = spec._shape()
+    u_max = math.log(np.finfo(float).max)
+    return (math.log(eta) - u_max) / (2 * a), u_max / (2 * a)
+
+
+LOG_CASES = [
+    (GeneralizedMorse(100.0, 20.0, 0.5), [-700.0 / 0.5, -20.0, 0.0, 1.7, 20.0, 800.0 / 0.5]),
+    (Mie(5.0, 1.0), [0.0, 1e-300, 1e-3, 0.3, 1.7, 80.0, 1e150]),
+    (KratzerFues(10.0, 1.0), [0.0, 1e-300, 0.3, 1.7, 1e150]),
+    (Coulomb(1.0), [0.0, 1e-300, 0.3, 1.7, 1e5, 1e150]),
+    (Pseudoharmonic(2.0, 1.0), [0.0, 1e-300, 0.3, 1.7, 1e5, 1e200]),
+    (NoncentralRadial(-1.0, 1.0), [0.0, 1e-300, 0.3, 1.7, 1e150]),
+    (DeformedRosenMorse(4.0, 8.0, 0.5, 2.0), [-400.0, -20.0, -1.0, 0.0, 1.0, 20.0, 400.0]),
+    (WoodsSaxon(5.0, 10.0, 0.25), [-400.0, -20.0, -1.0, 0.0, 1.0, 20.0, 400.0]),
+    (PoschlTeller(10.0, 2.0, 0.5), [-400.0, -20.0, -1.0, 0.0, 1.0, 20.0, 400.0]),
+]
+
+
+@pytest.mark.parametrize("spec, points", LOG_CASES, ids=[c[0].family for c in LOG_CASES])
+def test_coordinate_map_logs_are_closed_form(spec, points):
+    """(log s, log(1 + c3 s)) against 30-digit mpmath, past the overflow
+    points of the step wells and past the underflow of the Morse s."""
+    _, cmap = to_parametric(spec, 0, UNITS)
+    x = np.array(points)
+    if spec.branch == "jacobi":
+        x = np.concatenate([x, [v + d for v in _overflow_points(spec) for d in (-1.0, 0.0, 1.0)]])
+    log_s, log_base = cmap.logs_of_x(x)
+    with mpmath.workdps(30):
+        expected = np.array([[float(v) for v in _mp_logs(spec, mpmath.mpf(p))] for p in x])
+    # logs near the smallest normal float (log s -> 0 where Woods-Saxon's
+    # s -> 1, log(1 + c3 s) -> 0 on the right) are compared to within it:
+    # next to the overflow points the rounding of 2ax alone moves them by up
+    # to 6e-14 relative, and below it no relative precision is left
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(log_s, expected[:, 0], rtol=1e-14, atol=tiny)
+    np.testing.assert_allclose(log_base, expected[:, 1], rtol=1e-14, atol=tiny)
+
+
+def test_laguerre_maps_give_a_zero_log_base():
+    x = np.array([0.0, 0.3, 1.7, 900.0])
+    for spec in (GeneralizedMorse(100.0, 20.0, 1.0), Mie(5.0, 1.0), KratzerFues(10.0, 1.0),
+                 Coulomb(1.0), Pseudoharmonic(2.0, 1.0), NoncentralRadial(-1.0, 1.0)):
+        form, cmap = to_parametric(spec, 0, UNITS)
+        assert form.coeff_at(-0.1).c3 == 0.0
+        assert np.array_equal(cmap.logs_of_x(x)[1], np.zeros_like(x))
 
 
 # --------------------------------------------------- Jacobian certificates
@@ -364,3 +425,8 @@ def test_declared_coefficients_follow_from_the_schrodinger_equation(
     assert first == pytest.approx([pc.c1, pc.c2], rel=1e-13, abs=1e-13)
     assert zeroth == pytest.approx([-pc.lambda3, pc.lambda2, -pc.lambda1],
                                    rel=1e-13, abs=1e-13)
+    if pc.branch == "jacobi":
+        # every step well declares its decay term H, and it is minus the
+        # exact polynomial at s = -1/c3, -L1/c3^2 - L2/c3 - L3
+        at_pole = sp.cancel(q * x_s**2 * w**2).subs(_s, -1 / _exact(pc.c3))
+        assert float(-at_pole) == pytest.approx(pc.H, rel=1e-13, abs=0.0)

@@ -11,6 +11,7 @@ refinement of the bracket still calls the scalar ``quantization_residual``.
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -501,6 +502,43 @@ def test_levels_at_the_edge_of_resolution_stay_ordered_and_close(family, n, log_
     for state in states:
         expected = closed_form_energy(spec, 0, UNITS, state.n)
         assert abs(state.energy - expected) <= 1e-14 * (hi - lo)
+
+
+def _mp_rosen_morse_level(spec, units, n):
+    """The closed-form Rosen-Morse level at 50 digits: the float64 closed
+    form loses digits to s_n^2 - kappa near a level's threshold."""
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        c = mp(units.mass) / (2 * mp(units.hbar) ** 2 * mp(spec.a) ** 2)
+        kappa, gamma = c * mp(spec.V1), c * mp(spec.V2) * mp(spec.eta)
+        s_n = (mpmath.sqrt(1 + 4 * gamma / mp(spec.eta)) - 1) / 2 - n
+        return float(-((s_n**2 - kappa) / (2 * s_n)) ** 2 / c)
+
+
+def test_weakly_bound_rosen_morse_level_keeps_its_digits():
+    # n = 1 is bound by 2.2e-14 below the left asymptote 0, while the sum
+    # L1/c3^2 + L2/c3 + L3 cancels terms of size 5 down to that binding: with
+    # the declared H = c (left - E) the level is off by 2.6e-9, with the sum
+    # by 2.3e-3
+    spec = DeformedRosenMorse(V1=1.0, V2=9.242641611383357, a=1.0, eta=1.0)
+    states = spectrum(spec, 0, UNITS, n_max=1)
+    assert [s.n for s in states] == [0, 1]
+    expected = _mp_rosen_morse_level(spec, UNITS, 1)
+    assert expected == pytest.approx(-2.1920748574395633e-14, rel=1e-15)
+    assert abs(states[1].energy - expected) <= 1e-8 * abs(expected)
+
+
+def test_rosen_morse_level_far_below_its_step_is_kept():
+    # the step V1 = 80 is far above the well's depth: a level bound by
+    # 2.1e-6 lies in the top half scan cell, where the residual from the
+    # summed H was NaN at the top edge and the level was lost
+    spec = DeformedRosenMorse(80.0, 86.05805001468568, 0.25, 1.0)
+    units = UnitsConfig(0.5359415813664211, 0.7343350014051897)
+    states = spectrum(spec, 0, units, n_max=3)
+    assert [s.n for s in states] == [0, 1]
+    for state in states:
+        expected = _mp_rosen_morse_level(spec, units, state.n)
+        assert abs(state.energy - expected) <= CLOSED_FORM_RTOL * abs(expected)
 
 
 # --------------------------------------------------------------------------
