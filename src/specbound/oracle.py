@@ -75,6 +75,10 @@ SEED_MIN_INTERVALS = 64
 #: a sweep halves its matrix by odd/even reduction while the matrix has at
 #: least this many rows
 REDUCE_MIN_ROWS = 256
+#: a Laguerre sweep takes a pivot p and the next row, of diagonal s and
+#: squared edge c to p's row, as one 2x2 block pivot when |p s| < BLOCK_PIVOT
+#: c; the block's determinant p s - c is then at least (1 - BLOCK_PIVOT) c
+BLOCK_PIVOT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -309,10 +313,12 @@ def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
     g = h = 0.0
     for _ in range(levels):
         left, right, p = _odd_pivots(w, e)
-        inv = np.divide(1.0, p, out=p)
-        r = w[1::2] * inv
+        # w_k / p as :func:`_halve` rounds it: w_k * (1 / p) can round
+        # below 1 when p = w_k < 0 (edges of weight 0), and admit it
+        r = w[1::2] / p
         if not np.abs(r).max() < 1.0:
             break
+        inv = np.divide(1.0, p, out=p)
         right_share = right * inv
         x = left * left * inv  # the loads b^2 / p on either neighbour
         y = right * right_share
@@ -382,20 +388,29 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
 
     g and -h are the first two lam-derivatives of sum log|p_i| over the
     pivots p_i = s_i - c_i / p_(i-1), carried as u_i = p_i'/p_i and v_i =
-    p_i''/p_i.  A floored pivot makes g and h non-finite, which the caller
-    treats as a refused step.
+    p_i''/p_i.  The count is that of the pivots.  A small pivot p_i, with
+    |p_i s_(i+1)| < BLOCK_PIVOT c_(i+1), makes u_i^2 - v_i and the next
+    row's term large and of opposite sign, so h would keep only the digits
+    that survive their cancellation: its logarithm and p_(i+1)'s enter g
+    and h together as log|D|, D = p_i s_(i+1) - c_(i+1) the determinant of
+    the 2x2 block of rows i and i+1, and p_(i+2) = s_(i+2) - c_(i+2) p_i / D
+    takes its derivatives from the block.  A floored pivot outside a block
+    (an edge of weight 0 after it) makes g and h huge or not finite, which
+    the caller treats as a refused step.
     """
     rows, edges = w.tolist(), e.tolist()
     a1s, a2s, b1s, b2s = (part.tolist() if isinstance(part, np.ndarray)
                           else [part] * len(edges) for part in (s1, s2, c1, c2))
-    floor, huge = PIVOT_FLOOR, HUGE
+    floor, huge, alpha, inf = PIVOT_FLOOR, HUGE, BLOCK_PIVOT, math.inf
     count = 0
     g = h = 0.0
+    # p_i / D and its lam-derivatives for a block that ends at this row
+    block = None
     # the excess of row 0 and the lam-derivatives of its pivot
     d, un, vn = rows[0] + edges[0], a1s[0], a2s[0]
-    for w, b, a1, a2, b1, b2 in zip(rows[1:], edges[1:-1], a1s[1:], a2s[1:],
-                                    b1s[1:], b2s[1:]):
-        p = b + d
+    for w, b, bn, a1, a2, b1, b2 in zip(rows[1:], edges[1:-1], edges[2:], a1s[1:],
+                                        a2s[1:], b1s[1:], b2s[1:]):
+        p = raw = b + d
         if p < 0:  # as in _pivots
             count += 1
             if p > -floor:
@@ -409,17 +424,39 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
                 p = floor
             inv = 1.0 / p
             load = b * (d * inv)
-        u = un * inv
-        v = vn * inv
-        uu = u * u
-        g += u
-        h += uu - v
-        # the lam-derivatives of q = c/p are r1 - q u and
-        # c''/p - 2 r1 u - q (v - 2 u^2)
-        q = b * b * inv
-        r1 = b1 * inv
-        vn = a2 - b2 * inv + 2.0 * r1 * u + q * (v - 2.0 * uu)
-        un = a1 - r1 + q * u
+        c = b * b
+        if block is not None:
+            # p is the second pivot of the block; the next one is s - c m
+            m, m1, m2 = block
+            block = None
+            un = a1 - b1 * m - c * m1
+            vn = a2 - b2 * m - 2.0 * b1 * m1 - c * m2
+        elif abs(raw * (w + b + bn)) < alpha * c < inf:
+            # raw, the pivot as computed (not floored), and this row form
+            # the block, whose determinant is D
+            s = w + b + bn
+            det = raw * s - c
+            det1 = un * s + raw * a1 - b1
+            det2 = vn * s + 2.0 * un * a1 + raw * a2 - b2
+            k = det1 / det
+            g += k
+            h += k * k - det2 / det
+            # m = p / D: m' = (p' - m D') / D, m'' = (p'' - 2 m' D' - m D'') / D
+            m = raw / det
+            m1 = (un - m * det1) / det
+            block = (m, m1, (vn - 2.0 * m1 * det1 - m * det2) / det)
+        else:
+            u = un * inv
+            v = vn * inv
+            uu = u * u
+            g += u
+            h += uu - v
+            # the lam-derivatives of q = c/p are r1 - q u and
+            # c''/p - 2 r1 u - q (v - 2 u^2)
+            q = c * inv
+            r1 = b1 * inv
+            vn = a2 - b2 * inv + 2.0 * r1 * u + q * (v - 2.0 * uu)
+            un = a1 - r1 + q * u
         d = w + load
     p = d + edges[-1]
     if p < 0:
@@ -427,9 +464,10 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
         p = min(p, -floor)
     elif p < floor:
         p = floor
-    u = un / p
-    g += u
-    h += u * u - vn / p
+    if block is None:
+        u = un / p
+        g += u
+        h += u * u - vn / p
     return count, g, h
 
 

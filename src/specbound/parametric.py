@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -116,19 +115,27 @@ class EnergyDependentForm:
     """Coefficients as a function of trial energy, plus the window where
     bound states may live.
 
-    ``coeff_at`` must be deterministic and must keep c1, c2, c3 fixed floats;
-    only the L_i may carry the energy dependence.  It must also broadcast:
-    given an ndarray of energies it returns the L_i as arrays, computed with
-    the same per-element arithmetic as for a float, because the residual
-    scan evaluates all its trial energies in one call.  (Write e * e, not
-    e ** 2: numpy squares where a float calls pow.)  ``energy_window`` is an
-    open interval; the upper edge may be ``math.inf`` for confining
-    potentials.
+    The energy enters only through the terms that fix how psi decays at the
+    asymptotes, each as ``slope * (V - E)`` with V the potential there.
+    ``coefficients`` holds c1, c2, c3 and every coefficient that does not
+    depend on E; for each name in ``energy_terms`` it holds that term's
+    anchor energy V instead.  ``energy_window`` is an open interval; the
+    upper edge may be ``math.inf`` for confining potentials.
     """
 
-    branch: str
-    coeff_at: Callable[[float | np.ndarray], ParametricCoefficients]
+    coefficients: ParametricCoefficients
+    slope: float
+    energy_terms: tuple[str, ...]
     energy_window: tuple[float, float]
+
+    def coeff_at(self, energy: float | np.ndarray) -> ParametricCoefficients:
+        """The coefficients at a trial energy, or at every energy of an
+        array with the same per-element arithmetic (the residual scan
+        evaluates all its trial energies in one call)."""
+        values = dict(self.coefficients.__dict__)
+        for name in self.energy_terms:
+            values[name] = self.slope * (values[name] - energy)
+        return ParametricCoefficients(**values)
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,14 @@ norm integral over r^2 dr; one-dimensional families use measure 1.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Union
 
 import numpy as np
 
 from .errors import (
+    ConsistencyViolation,
     InvalidParameters,
     NoBoundState,
     OutOfDomain,
@@ -158,8 +159,10 @@ _IDENTITY_RADIAL_MAP = CoordinateMap(s_of_x=lambda r: np.asarray(r, dtype=float)
 # --------------------------------------------------------------------------
 
 class _Family:
-    """Root choice and energy-dependent form of every family, the form built
-    from the family's ``_coeff_at(l, units)`` and ``energy_window(l, units)``."""
+    """Root choice and energy-dependent form of every family.  The form is
+    data: a family declares ``_coefficients(l, units)`` = (coefficients,
+    slope, energy_terms), each energy term stored as its anchor energy V and
+    read as slope (V - E), and ``energy_window(l, units)``."""
 
     #: the + q root keeps psi finite at s -> 0; + p suits every Laguerre family
     _roots: ClassVar[RootChoice] = RootChoice()
@@ -177,20 +180,18 @@ class _Family:
         and a physical well would be reported as holding no level.
         """
         try:
-            coeff_at = self._coeff_at(l, units)
-            window = self.energy_window(l, units)
-            values = [v for e in window if e != math.inf
-                      for v in (e, *astuple(coeff_at(e))) if v is not None]
+            form = EnergyDependentForm(*self._coefficients(l, units),
+                                       self.energy_window(l, units))
+            values = [v for e in form.energy_window if e != math.inf
+                      for v in (e, *astuple(form.coeff_at(e))) if v is not None]
         except OverflowError:
             values = [math.inf]
         if not all(math.isfinite(4.0 * v) for v in values):
-            given = ", ".join(f"{k} = {v!r}" for k, v in potential_params(self).items())
             raise InvalidParameters(
-                f"{self.family} parameters {given} overflow at hbar = {units.hbar!r}, "
-                f"mass = {units.mass!r}: the energy window or the coefficients "
-                "are not finite")
-        return EnergyDependentForm(branch=self.branch, coeff_at=coeff_at,
-                                   energy_window=window)
+                f"{self.family} parameters {_named_params(self)} overflow at "
+                f"hbar = {units.hbar!r}, mass = {units.mass!r}: the energy window "
+                "or the coefficients are not finite")
+        return form
 
 
 class _Well(_Family):
@@ -229,16 +230,12 @@ class _InversePower(_Family):
         _, lam2, lam3 = self._c_lam23(l, units)
         return 2 * lam3 / lam2
 
-    def _coeff_at(self, l, units):
+    def _coefficients(self, l, units):
+        # L1 = (2m/hbar^2) (C - E)
         c, lam2, lam3 = self._c_lam23(l, units)
-        two_m = 2 * units.mass / units.hbar**2
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0,
-                                          lambda1=-two_m * (energy - c),
-                                          lambda2=lam2, lambda3=lam3)
-
-        return coeff_at
+        return (ParametricCoefficients(c1=2.0, c2=0.0, c3=0.0, lambda1=c,
+                                       lambda2=lam2, lambda3=lam3),
+                2 * units.mass / units.hbar**2, ("lambda1",))
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         c, lam2, lam3 = self._c_lam23(l, units)
@@ -302,22 +299,18 @@ class _StepWell(_Well):
                              measure=_flat_measure, jacobian=(0.5 / a, -1.0, -1.0),
                              logs_of_x=self._logs)
 
-    def _coeff_at(self, l, units):
+    def _coefficients(self, l, units):
+        # L3 = c (right - E) and, declared, H = c (left - E): the sum
+        # L1/c3^2 + L2/c3 + L3 cancels terms of size c depth and
+        # c (right - left) down to the binding below the left asymptote, and
+        # a weakly bound level loses its digits to it
         left, right, depth, a, eta = self._shape()
         c = units.mass / (2 * units.hbar**2 * a**2)
-        lam1 = c * depth * eta * eta
-        lam2 = c * (right - left) * eta + c * depth * eta
-
-        # H declared: the sum L1/c3^2 + L2/c3 + L3 = c (left - E) cancels
-        # terms of size c depth and c (right - left) down to the binding below
-        # the left asymptote, and a weakly bound level loses its digits to it
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
-                                          lambda1=lam1, lambda2=lam2,
-                                          lambda3=c * (right - energy),
-                                          H=c * (left - energy))
-
-        return coeff_at
+        return (ParametricCoefficients(c1=1.0, c2=-2 * eta, c3=-eta,
+                                       lambda1=c * depth * eta * eta,
+                                       lambda2=c * (right - left) * eta + c * depth * eta,
+                                       lambda3=right, H=left),
+                c, ("lambda3", "H"))
 
 
 @dataclass(frozen=True)
@@ -366,16 +359,13 @@ class GeneralizedMorse(_Well):
                              measure=_flat_measure, jacobian=(1.0 / a, -1.0, 0.0),
                              logs_of_x=logs_of_x)
 
-    def _coeff_at(self, l, units):
+    def _coefficients(self, l, units):
+        # L3 = b (0 - E)
         b = 2 * units.mass / (units.hbar**2 * self.a**2)
-        lam2 = b * self.V2 / math.sqrt(self.V1)
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.0, c2=0.0, c3=0.0,
-                                          lambda1=b, lambda2=lam2,
-                                          lambda3=-b * energy)
-
-        return coeff_at
+        return (ParametricCoefficients(c1=1.0, c2=0.0, c3=0.0, lambda1=b,
+                                       lambda2=b * self.V2 / math.sqrt(self.V1),
+                                       lambda3=0.0),
+                b, ("lambda3",))
 
     def closed_form(self, n: int, l, units: UnitsConfig) -> float:
         # level exists while the decay exponent 2 eps = w - (2n + 1) stays positive
@@ -526,17 +516,12 @@ class Pseudoharmonic(_Family):
         lam1, lam3 = self._lams(l, units)
         return (lam3 / lam1) ** 0.25
 
-    def _coeff_at(self, l, units):
+    def _coefficients(self, l, units):
+        # L2 = (m/2hbar^2) (E + 2 V0) = -(m/2hbar^2) (-2 V0 - E)
         lam1, lam3 = self._lams(l, units)
-        half_m = units.mass / (2 * units.hbar**2)
-
-        def coeff_at(energy: float) -> ParametricCoefficients:
-            return ParametricCoefficients(c1=1.5, c2=0.0, c3=0.0,
-                                          lambda1=lam1,
-                                          lambda2=half_m * (energy + 2 * self.V0),
-                                          lambda3=lam3)
-
-        return coeff_at
+        return (ParametricCoefficients(c1=1.5, c2=0.0, c3=0.0, lambda1=lam1,
+                                       lambda2=-2 * self.V0, lambda3=lam3),
+                -units.mass / (2 * units.hbar**2), ("lambda2",))
 
     def energy_window(self, l, units) -> tuple[float, float]:
         # V >= 0 and confining: the spectrum is unbounded above
@@ -731,7 +716,8 @@ class BoundState:
     ``norm_constant`` multiplies psi divided by the peak value of its
     prefactor (s^q e^(-p s) or s^q (1 + c3 s)^(-p)), which keeps the
     constant finite for heavy particles and deep wells; ``wavefunction``
-    applies it."""
+    applies it.  ``cmap`` follows from ``potential``, ``l`` and ``units`` and
+    is left out of comparisons: some maps are closures built per call."""
 
     potential: PotentialSpec
     units: UnitsConfig
@@ -740,7 +726,7 @@ class BoundState:
     energy: float
     constants: JacobiBranchConstants | LaguerreBranchConstants
     coefficients: ParametricCoefficients
-    cmap: CoordinateMap
+    cmap: CoordinateMap = field(compare=False)
     norm_constant: float
 
 
@@ -869,6 +855,11 @@ def potential_params(spec: PotentialSpec) -> dict:
         attr = "lam" if name == "lambda" else name
         out[name] = getattr(spec, attr)
     return out
+
+
+def _named_params(spec: PotentialSpec) -> str:
+    """The parameters as "V1 = 1.0, V2 = 1e9" for error messages."""
+    return ", ".join(f"{k} = {v!r}" for k, v in potential_params(spec).items())
 
 
 def describe_families() -> list[dict]:
@@ -1076,10 +1067,13 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     """All bound states with n <= n_max, in strictly increasing energy.
 
     Each Jacobi-branch state passes the r2 = 0, r1 + r3 = 0 consistency
-    identities at its own energy.  Normalization constants are exact: the
-    norm integral of every catalog state is a Laguerre or Jacobi weight
-    integral with a closed form, evaluated in log space from the declared
-    Jacobian of the coordinate map; no grid is involved.  The list ends
+    identities at its own energy; a level that fails them (in wells so deep
+    that rounding alone leaves |r1 + r3| above CONSISTENCY_RAISE_TOL) raises
+    ConsistencyViolation naming the well, the units, n and E.
+    Normalization constants are exact: the norm integral of every catalog
+    state is a Laguerre or Jacobi weight integral with a closed form,
+    evaluated in log space from the declared Jacobian of the coordinate
+    map; no grid is involved.  The list ends
     early when a finite well runs out of levels.  A well too deep for
     float64 to resolve its zero-point energy above its bottom raises
     InvalidParameters naming the depth before any level is solved.
@@ -1106,7 +1100,13 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
         pc = form.coeff_at(energy)
         if pc.branch == JACOBI:
             constants = solve_jacobi_constants(pc, rc)
-            consistency_check(constants)
+            try:
+                consistency_check(constants)
+            except ConsistencyViolation as exc:
+                raise ConsistencyViolation(
+                    f"{spec.family} ({_named_params(spec)}) at hbar = {units.hbar!r}, "
+                    f"mass = {units.mass!r}: level n = {n} at E = {energy!r} fails the "
+                    f"consistency identities, {exc}") from None
         else:
             constants = solve_laguerre_constants(pc)
         # norm of psi divided by its prefactor peak, as _unnormalized_psi returns it
@@ -1147,8 +1147,8 @@ def _check_zero_point(spec, units: UnitsConfig, bottom: float) -> None:
     zero_point = 0.5 * units.hbar * math.sqrt(max(curvature, 0.0) / units.mass)
     resolution = 64 * math.ulp(bottom)
     if zero_point < resolution:
-        given = ", ".join(f"{k} = {v!r}" for k, v in potential_params(spec).items())
         raise InvalidParameters(
-            f"{spec.family} well of depth {spec.asymptote() - bottom:.6g} ({given}): "
-            f"float64 cannot resolve its zero-point energy, about {zero_point:.3g}, "
+            f"{spec.family} well of depth {spec.asymptote() - bottom:.6g} "
+            f"({_named_params(spec)}): float64 cannot resolve its zero-point "
+            f"energy, about {zero_point:.3g}, "
             f"above the well bottom {bottom!r} (64 ulp = {resolution:.3g})")

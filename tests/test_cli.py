@@ -444,6 +444,26 @@ def test_unresolvable_zero_point_is_invalid_and_named(family, params, n_max, cap
     assert "depth" in err and "cannot resolve its zero-point energy" in err
 
 
+@pytest.mark.parametrize("family, params, named", [
+    ("rosen_morse", ["V1=1", "V2=1e9", "a=1", "eta=1"], "V2 = 1000000000.0"),
+    ("woods_saxon", ["V1=1", "V2=1e8", "a=1"], "V2 = 100000000.0"),
+])
+def test_deep_jacobi_consistency_exit_names_the_well(family, params, named, capsys):
+    # r1 + r3 of a deep Jacobi well rounds above the absolute consistency
+    # bound: the exit stays 2, and the message names the well, the units and
+    # the level, not only |r2| and |r1 + r3|
+    args = ["spectrum", "--potential", family, "--n-max", "2"]
+    for param in params:
+        args += ["--param", param]
+    code, text = run_cli(args)
+    assert code == EXIT_INVALID
+    assert text == ""
+    err = capsys.readouterr().err
+    for part in (family, named, "a = 1.0", "hbar = 1.0", "mass = 1.0", "level n = 1",
+                 "at E = -", "|r1 + r3| = "):
+        assert part in err, part
+
+
 @pytest.mark.parametrize("family, depth, params, threshold", [
     ("morse", "V2", ["V1=100", "a=1"], 1.41e15),
     ("rosen_morse", "V2", ["V1=1", "a=1", "eta=1"], 1.99e28),

@@ -382,30 +382,42 @@ def _barrier(spec, l, hbar, mass, r):
 
 
 def _polynomial_coefficients(expr, degree):
-    """Coefficients of s^0 .. s^degree; fails unless expr is a polynomial in
-    s of at most that degree."""
+    """Exact coefficients of s^0 .. s^degree; fails unless expr is a
+    polynomial in s of at most that degree."""
     poly = sp.Poly(sp.cancel(expr), _s)
     assert poly.degree() <= degree, poly
-    coeffs = [float(c) for c in reversed(poly.all_coeffs())]
-    return coeffs + [0.0] * (degree + 1 - len(coeffs))
+    coeffs = list(reversed(poly.all_coeffs()))
+    return coeffs + [sp.Integer(0)] * (degree + 1 - len(coeffs))
 
 
-@pytest.mark.parametrize("hbar, mass, l, energy",
-                         [("1", "1", 0, "-3/10"), ("7/10", "5/2", 2, "13/10")],
+_E = sp.Symbol("E", real=True)
+
+
+def _affine_in_energy(expr):
+    """(constant, coefficient of E) of an exact expression; fails unless it
+    is affine in the trial energy E."""
+    poly = sp.Poly(sp.expand(expr), _E)
+    assert poly.degree() <= 1, poly
+    return float(poly.coeff_monomial(1)), float(poly.coeff_monomial(_E))
+
+
+@pytest.mark.parametrize("hbar, mass, l", [("1", "1", 0), ("7/10", "5/2", 2)],
                          ids=["unit", "scaled"])
 @pytest.mark.parametrize("spec, x_of, v_of", COEFFICIENT_CASES,
                          ids=[c[0].family for c in COEFFICIENT_CASES])
 def test_declared_coefficients_follow_from_the_schrodinger_equation(
-        spec, x_of, v_of, hbar, mass, l, energy):
+        spec, x_of, v_of, hbar, mass, l):
     """Substituting x(s) into psi'' + (2/r) psi' [radial only] + k^2 (E - V_eff) psi
-    = 0, with k^2 = 2m/hbar^2, and clearing s (1 + c3 s) from the psi'
-    coefficient and its square from the psi coefficient must give exactly
-    c1 + c2 s and -L1 s^2 + L2 s - L3 of the declared form."""
+    = 0, with k^2 = 2m/hbar^2 and E a symbol, and clearing s (1 + c3 s) from
+    the psi' coefficient and its square from the psi coefficient must give
+    exactly c1 + c2 s and -L1 s^2 + L2 s - L3 of the declared form: each
+    declared energy term is slope (anchor - E), every other slot the declared
+    constant."""
     if not spec.radial or isinstance(spec, NoncentralRadial):
         l = 0
-    hbar, mass, energy = sp.Rational(hbar), sp.Rational(mass), sp.Rational(energy)
+    hbar, mass = sp.Rational(hbar), sp.Rational(mass)
     form, cmap = to_parametric(spec, l, UnitsConfig(float(hbar), float(mass)))
-    pc = form.coeff_at(float(energy))
+    declared = form.coefficients
     x = x_of(spec)
     # the symbolic map inverts the package's s(x), and V is the package's V
     for x0 in (0.3, 1.7):
@@ -414,19 +426,29 @@ def test_declared_coefficients_follow_from_the_schrodinger_equation(
         assert float(v_of(spec, sp.Float(x0, 30))) == pytest.approx(
             float(spec.potential(x0)), rel=1e-13)
 
+    def expected(name, sign):
+        # (constant, coefficient of E) of sign times the declared slot
+        value = getattr(declared, name)
+        if name in form.energy_terms:
+            return sign * form.slope * value, -sign * form.slope
+        return sign * value, 0.0
+
     x_s = sp.diff(x, _s)
     friction = 2 / x if spec.radial else 0
-    q = 2 * mass / hbar**2 * (energy - v_of(spec, x) - _barrier(spec, l, hbar, mass, x))
-    w = _s * (1 + _exact(pc.c3) * _s)
+    q = 2 * mass / hbar**2 * (_E - v_of(spec, x) - _barrier(spec, l, hbar, mass, x))
+    w = _s * (1 + _exact(declared.c3) * _s)
     # psi_xx = psi_ss / x_s^2 - psi_s x_ss / x_s^3, so dividing the equation
     # by 1/x_s^2 leaves psi_ss + (friction x_s - x_ss / x_s) psi_s + q x_s^2 psi
     first = _polynomial_coefficients((friction * x_s - sp.diff(x_s, _s) / x_s) * w, 1)
     zeroth = _polynomial_coefficients(q * x_s**2 * w**2, 2)
-    assert first == pytest.approx([pc.c1, pc.c2], rel=1e-13, abs=1e-13)
-    assert zeroth == pytest.approx([-pc.lambda3, pc.lambda2, -pc.lambda1],
-                                   rel=1e-13, abs=1e-13)
-    if pc.branch == "jacobi":
+    assert [float(c) for c in first] == pytest.approx([declared.c1, declared.c2],
+                                                      rel=1e-13, abs=1e-13)
+    for coeff, name, sign in zip(zeroth, ("lambda3", "lambda2", "lambda1"), (-1, 1, -1)):
+        assert _affine_in_energy(coeff) == pytest.approx(expected(name, sign),
+                                                         rel=1e-13, abs=1e-13), name
+    if declared.c3 != 0.0:
         # every step well declares its decay term H, and it is minus the
         # exact polynomial at s = -1/c3, -L1/c3^2 - L2/c3 - L3
-        at_pole = sp.cancel(q * x_s**2 * w**2).subs(_s, -1 / _exact(pc.c3))
-        assert float(-at_pole) == pytest.approx(pc.H, rel=1e-13, abs=0.0)
+        at_pole = sp.cancel(q * x_s**2 * w**2).subs(_s, -1 / _exact(declared.c3))
+        assert _affine_in_energy(-at_pole) == pytest.approx(expected("H", 1),
+                                                            rel=1e-13, abs=1e-13)

@@ -542,6 +542,35 @@ def _assert_laguerre_accuracy(reduced, full, eigenvalues, lam):
     assert abs(h - exact_h) <= 1e-9 * exact_h + 4 * abs(full_h - exact_h)
 
 
+def test_laguerre_sums_hold_past_a_small_pivot():
+    # the sixth pivot is -1.6e-4 against edges of 4.96: one pivot at a time,
+    # its term of h and the next are 5e8 and of opposite sign while h = 0.59,
+    # so g and h hold to 1e-12 only when the two rows are taken as one block
+    t = 4.959285146552995
+    diag = [2 * t + x for x in [t, -1.0, 3.1995043738325517, t, 1.578125,
+                                -1.2486291102631766, 0.0]]
+    off = [-t] * 6
+    lam = 10.065386065711081
+    pot, edges = _form(diag, off)
+    eigenvalues = _block_eigenvalues(diag, off)
+    r = 1.0 / (lam - eigenvalues)
+    count, g, h = _laguerre_sweep(pot, edges, lam)
+    assert count == int(np.sum(eigenvalues < lam)) == 3
+    assert abs(g - r.sum()) <= 1e-12 * np.abs(r).sum()
+    assert abs(h - np.dot(r, r)) <= 1e-12 * np.dot(r, r)
+
+
+def test_reduced_laguerre_count_with_edges_of_weight_zero():
+    # with no edges every pivot is its own w_k < 0 above the spectrum, and
+    # w_k * (1 / w_k) rounds to 1 - 2^-53 for some w_k: the safe-pivot test
+    # must still refuse them, or the count loses the negative pivots
+    diag, off = [0.0, 0.0, 0.0, 0.0, 3.4744233450718234], [0.0] * 4
+    pot, edges = _form(diag, off)
+    lam = 3 * diag[-1]
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", 4):
+        assert _laguerre_sweep(pot, edges, lam)[0] == _sturm(pot, edges, lam) == 5
+
+
 _HALF_STEP_MATRICES = [
     (Coulomb(e2=1.0), RadialGrid(0.0, 80.0, 11999)),
     (GeneralizedMorse(100.0, 20.0, 1.0), RadialGrid(-2.3, 21.4, 7999)),

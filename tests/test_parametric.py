@@ -170,10 +170,9 @@ def test_solve_energy_exhausted_well():
 
 
 def test_solve_energy_degenerate_window():
-    form = EnergyDependentForm(
-        branch="laguerre",
-        coeff_at=lambda e: ParametricCoefficients(2.0, 0.0, 0.0, -2 * e, 2.0, 0.0),
-        energy_window=(0.0, 0.0))
+    # L1 = 2 (0 - E)
+    form = EnergyDependentForm(ParametricCoefficients(2.0, 0.0, 0.0, 0.0, 2.0, 0.0),
+                               2.0, ("lambda1",), (0.0, 0.0))
     with pytest.raises(WindowDegenerate):
         solve_energy(form, 0)
 

@@ -1,5 +1,6 @@
 """Catalog mappings, closed forms, spectra, and wavefunction assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -173,6 +174,24 @@ def test_morse_coefficient_signs():
     assert pc.lambda1 == pytest.approx(2.0)          # fixed decay scale
     assert pc.lambda2 == pytest.approx(2.0 * 20.0 / 10.0)
     assert pc.lambda3 == pytest.approx(0.8)          # positive for E < 0
+
+
+@pytest.mark.parametrize("spec", [
+    GeneralizedMorse(100.0, 20.0, 1.0), Mie(5.0, 1.0), KratzerFues(10.0, 1.0),
+    Coulomb(1.0), Pseudoharmonic(2.0, 1.0), NoncentralRadial(-1.0, 0.0),
+    DeformedRosenMorse(4.0, 8.0, 0.5, 1.0), WoodsSaxon(5.0, 10.0, 1.0),
+    PoschlTeller(10.0, 1.0, 1.0),
+], ids=lambda s: s.family)
+def test_equal_wells_give_equal_forms_and_states(spec):
+    # each desk well built twice: the forms and the states of the two
+    # compare equal, and so do two spectra of one spec
+    twin = dataclasses.replace(spec)
+    assert twin is not spec
+    assert to_parametric(twin, 0, UNITS)[0] == to_parametric(spec, 0, UNITS)[0]
+    states = spectrum(spec, 0, UNITS, 2)
+    assert states
+    assert spectrum(twin, 0, UNITS, 2) == states
+    assert spectrum(spec, 0, UNITS, 2) == states
 
 
 # ------------------------------------------------------------------ spectra

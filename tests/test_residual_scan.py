@@ -9,6 +9,7 @@ refinement of the bracket still calls the scalar ``quantization_residual``.
 """
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -198,10 +199,10 @@ def test_array_residual_marks_negative_discriminants():
 def test_array_residual_keeps_the_boundary_case():
     # c2 - 2 p10 = 0 at E = 0: gamma2 is 0 when its numerator vanishes
     # too (here L2 = 0) and undefined (NaN) otherwise, as in the scalar form
-    def coeffs(l2):
-        return lambda e: ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, l2, 0.0)
+    # L1 = 2 (0 - E)
     for l2 in (0.0, 2.0):
-        form = EnergyDependentForm("laguerre", coeffs(l2), (-1.0, 0.0))
+        form = EnergyDependentForm(ParametricCoefficients(2.0, 0.0, 0.0, 0.0, l2, 0.0),
+                                   2.0, ("lambda1",), (-1.0, 0.0))
         scalar = quantization_residual(form, 1, 0.0)
         array = quantization_residuals(form, 1, np.array([0.0, -0.5]))
         if math.isnan(scalar):
@@ -212,9 +213,8 @@ def test_array_residual_keeps_the_boundary_case():
 
 
 def test_array_residual_broadcasts_constant_coefficients():
-    form = EnergyDependentForm(
-        "laguerre", lambda e: ParametricCoefficients(2.0, 0.0, 0.0, 0.5, 2.0, 0.0),
-        (-1.0, 0.0))
+    form = EnergyDependentForm(ParametricCoefficients(2.0, 0.0, 0.0, 0.5, 2.0, 0.0),
+                               0.0, (), (-1.0, 0.0))
     values = quantization_residuals(form, 0, np.linspace(-1.0, 0.0, 5))
     assert values.shape == (5,)
     assert np.all(values == quantization_residual(form, 0, -0.5))
@@ -241,6 +241,12 @@ def test_scan_matches_scalar_scan_on_desk_cases(spec):
         assert [s.energy for s in spectrum(spec, l, UNITS, 3)] == walked
 
 
+def _hand_form(coeff_at, window):
+    """A form of a shape no family declares: parametric reads only
+    ``coeff_at`` and ``energy_window``."""
+    return SimpleNamespace(coeff_at=coeff_at, energy_window=window)
+
+
 def _nan_stretch_form():
     # the q discriminant 4 (E + 1/2)^2 - 0.3 is negative for |E + 1/2| < 0.274,
     # a NaN stretch inside the window; for n = 1 the residual is negative
@@ -248,7 +254,7 @@ def _nan_stretch_form():
     def coeff_at(e):
         return ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, 3.0,
                                       4.0 * (e + 0.5) * (e + 0.5) - 0.55)
-    return EnergyDependentForm("laguerre", coeff_at, (-2.0, -0.01))
+    return _hand_form(coeff_at, (-2.0, -0.01))
 
 
 def test_scan_matches_scalar_scan_across_a_nan_stretch():
@@ -284,8 +290,7 @@ def test_scan_expands_unbounded_window_like_scalar_scan():
 def _gamma2_form(residual, window):
     # c1 = 2, L1 = 1, L3 = 0 give q10 = 0 and p10 = 1, so the n = 0
     # residual is gamma2 = L2/2 - 1 = residual(E) with L2 = 2 residual(E) + 2
-    return EnergyDependentForm(
-        "laguerre",
+    return _hand_form(
         lambda e: ParametricCoefficients(2.0, 0.0, 0.0, 1.0, 2.0 * residual(e) + 2.0, 0.0),
         window)
 
@@ -369,9 +374,9 @@ def test_deep_morse_wells_keep_every_closed_form_level():
 
 def test_array_residual_maps_infinities_to_nan():
     # gamma2 = (2 p10 - L2)/(-2 p10) overflows to -inf for L2 near -DBL_MAX
-    form = EnergyDependentForm(
-        "laguerre", lambda e: ParametricCoefficients(2.0, 0.0, 0.0, -2.0 * e, -1.7e308, 0.0),
-        (-1.0, 0.0))
+    # L1 = 2 (0 - E)
+    form = EnergyDependentForm(ParametricCoefficients(2.0, 0.0, 0.0, 0.0, -1.7e308, 0.0),
+                               2.0, ("lambda1",), (-1.0, 0.0))
     assert quantization_residual(form, 0, -0.005) == -math.inf
     values = quantization_residuals(form, 0, np.array([-0.005, -0.5]))
     assert math.isnan(values[0])
