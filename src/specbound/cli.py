@@ -414,6 +414,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    # argparse reads a value that starts with "-" as an option, so a grid
+    # that starts below 0 is joined to its flag: --grid=-1,6,1000
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--grid":
+            argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

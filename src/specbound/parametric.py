@@ -39,9 +39,6 @@ LAGUERRE = "laguerre"
 CONSISTENCY_RAISE_TOL = 1e-8
 
 DEFAULT_SCAN_POINTS = 2000
-#: a level bound by less than this many ulp of the energy window's scale is
-#: not resolved from the window's top edge
-TOP_EDGE_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -401,77 +398,37 @@ def _brent(form, n, root_choice, a, b, fa, fb) -> float:
     return b
 
 
-def _first_bracket(form, n, root_choice, lo, hi, scan_points):
-    """First sign-change bracket (a, b, fa, fb) of the residual on a uniform
-    interior scan of (lo, hi), or None.
+def _scan(form, n, root_choice, lo, hi, scan_points):
+    """The scan points from lo to hi, both included, evenly spaced in
+    sqrt(hi - E), and the residual at all of them in one numpy call.
 
-    All scan points are evaluated at once.  A NaN residual breaks the chain
-    of neighbours, so no bracket spans it; an exact zero at e gives (e, e).
-    Without a sign change on the scan, the half cell below its first point
-    is searched (:func:`_bottom_bracket`), then the one above its last
-    point (:func:`_top_bracket`).
+    The points crowd toward hi as the decay exponent sqrt(slope (hi - E))
+    does: near hi the energy term anchored there, slope (hi - E), is exact
+    (Sterbenz), so a level bound by far less than a uniform spacing still
+    falls between two points.  The bottom edge lo, where a deep well's
+    ground level lies, is a point itself.
     """
-    energies = lo + (hi - lo) * (np.arange(scan_points) + 0.5) / scan_points
-    f = quantization_residuals(form, n, energies, root_choice)
+    u = 1.0 - np.arange(scan_points) / (scan_points - 1)
+    energies = hi - (hi - lo) * (u * u)
+    energies[0] = lo
+    return energies, quantization_residuals(form, n, energies, root_choice)
+
+
+def _first_bracket(energies, f):
+    """First sign-change bracket (a, b, fa, fb) between neighbouring scan
+    points, or None.  A NaN residual breaks the chain of neighbours, so no
+    bracket spans it; an exact zero at e gives (e, e, 0, 0)."""
     valid = ~np.isnan(f)
     negative = f < 0.0
     event = f == 0.0
     event[1:] |= valid[1:] & valid[:-1] & (negative[1:] != negative[:-1])
     hits = np.flatnonzero(event)
     if hits.size == 0:
-        return (_bottom_bracket(form, n, root_choice, lo, float(energies[0]), float(f[0]))
-                or _top_bracket(form, n, root_choice, lo, hi, float(energies[-1]),
-                                float(f[-1])))
+        return None
     i = hits[0]
     if f[i] == 0.0:
         return float(energies[i]), float(energies[i]), 0.0, 0.0
     return float(energies[i - 1]), float(energies[i]), float(f[i - 1]), float(f[i])
-
-
-def _bottom_bracket(form, n, root_choice, lo, e0, f0):
-    """Bracket (a, b, fa, fb) of a root in the half cell [lo, e0] below the
-    first scan point, or None.
-
-    A scan with no sign change leaves that half cell unseen, and a deep
-    well's ground level lies in it: its zero-point energy is below half a
-    scan spacing.  The residual at lo, or just above lo where it is not
-    finite at lo itself, then has the sign opposite to f0.
-    """
-    if math.isnan(f0):
-        return None
-    for edge in (lo, math.nextafter(lo, e0)):
-        fe = _residual_or_nan(form, n, edge, root_choice)
-        if not math.isnan(fe):
-            break
-    else:
-        return None
-    if fe == 0.0:
-        return edge, edge, 0.0, 0.0
-    if (fe < 0.0) == (f0 < 0.0):
-        return None
-    return edge, e0, fe, f0
-
-
-def _top_bracket(form, n, root_choice, lo, hi, e_last, f_last):
-    """Bracket (a, b, fa, fb) of a root in the half cell above the last scan
-    point e_last, or None.
-
-    A level bound by less than half a scan spacing lies in that cell.  Its
-    upper end is TOP_EDGE_ULPS ulp of the window's scale below hi rather
-    than hi itself: the coefficients add E to terms of that scale, so the
-    residual cannot tell a level closer to the asymptote from the asymptote
-    (a zero at hi itself is a level at the asymptote, which is not bound),
-    and in the last few ulp it need not even be finite.
-    """
-    edge = hi - TOP_EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
-    if math.isnan(f_last) or not e_last < edge:
-        return None
-    fe = _residual_or_nan(form, n, edge, root_choice)
-    if fe == 0.0:
-        return edge, edge, 0.0, 0.0
-    if math.isnan(fe) or (fe < 0.0) == (f_last < 0.0):
-        return None
-    return e_last, edge, f_last, fe
 
 
 def _root_in(form, n, root_choice, bracket) -> float:
@@ -487,36 +444,47 @@ def solve_energy(form: EnergyDependentForm, n: int,
                  above: float | None = None) -> float:
     """Find the bound-state energy of level n as a root of the residual.
 
-    Evaluates the residual at ``scan_points`` uniform interior energies of
-    the window in one numpy call (``quantization_residuals``), takes the
-    first sign change between neighbours where both are finite (or an exact
-    zero), then refines it by Brent's method with scalar
-    ``quantization_residual`` calls, about three per level, to
-    machine-relative bracket width.  ``above`` restricts the search to
-    energies strictly above a previous level, which enforces the
-    E_0 < E_1 < ... ordering when multiple residual roots exist.  For
-    windows that are unbounded above (confining potentials) the upper scan
-    edge is expanded geometrically until the root is bracketed.
+    Evaluates the residual at ``scan_points`` energies of the closed window,
+    evenly spaced in the decay exponent sqrt(hi - E), in one numpy call
+    (``quantization_residuals``), takes the first sign change between
+    neighbours where both are finite (or an exact zero), then refines it by
+    Brent's method with scalar ``quantization_residual`` calls, about three
+    per level, to machine-relative bracket width.  A root must lie strictly
+    below the window's top: a level at the asymptote is not bound.
+    ``above`` restricts the search to energies strictly above a previous
+    level, which enforces the E_0 < E_1 < ... ordering when multiple
+    residual roots exist.  Without a bracket the window is adjusted and
+    scanned again: a window unbounded above (confining potentials) doubles
+    its span, and a residual that is not finite at the top (the inverse
+    power families, where c2 - 2 p10 = 0 there) has its top cell scanned.
 
-    Raises NoBoundState when no sign change exists in the window and
-    WindowDegenerate when the window is empty.
+    Raises NoBoundState when no sign change exists in the window,
+    WindowDegenerate when the window is empty, and ValueError for n < 0 or
+    fewer than two scan points.
     """
     if n < 0:
         raise ValueError("quantum number n must be nonnegative")
+    if scan_points < 2:
+        raise ValueError("the scan needs both window edges: scan_points >= 2")
     lo, hi = form.energy_window
     if above is not None:
         lo = max(lo, above)
-    if math.isinf(hi):
-        span = max(1.0, abs(lo))
-        for _ in range(64):
-            bracket = _first_bracket(form, n, root_choice, lo, lo + span, scan_points)
-            if bracket is not None:
-                return _root_in(form, n, root_choice, bracket)
-            span *= 2.0
-        raise NoBoundState(f"no residual root found for n = {n} (window unbounded above)")
     if not lo < hi:
         raise WindowDegenerate(f"empty energy window ({lo}, {hi})")
-    bracket = _first_bracket(form, n, root_choice, lo, hi, scan_points)
-    if bracket is not None:
-        return _root_in(form, n, root_choice, bracket)
-    raise NoBoundState(f"no residual root found for n = {n} in ({lo}, {hi})")
+    span = max(1.0, abs(lo))
+    for _ in range(64):
+        top = hi if math.isfinite(hi) else lo + span
+        energies, f = _scan(form, n, root_choice, lo, top, scan_points)
+        bracket = _first_bracket(energies, f)
+        if bracket is not None:
+            root = _root_in(form, n, root_choice, bracket)
+            if root < hi:
+                return root
+            break
+        if math.isinf(hi):
+            span *= 2.0
+        elif math.isnan(f[-1]) and lo < energies[-2] < hi:
+            lo = float(energies[-2])  # the top cell
+        else:
+            break
+    raise NoBoundState(f"no residual root found for n = {n} below {hi}")

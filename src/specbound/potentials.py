@@ -335,7 +335,7 @@ class GeneralizedMorse(_Well):
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.V1 * np.exp(-2 * self.a * x) - self.V2 * np.exp(-self.a * x)
 
     def asymptote_sides(self) -> tuple[float, float]:

@@ -212,6 +212,16 @@ def test_wavefunction_samples_the_window_of_the_state(args, n):
             assert density <= 1e-12 * weighted.max()
 
 
+def test_wavefunction_grid_may_start_below_zero():
+    # argparse would read "-1,6,1000" as an option and exit 2
+    code, text = run_cli(["wavefunction", "--potential", "morse", "--param", "V1=100",
+                          "--param", "V2=20", "--param", "a=1", "--n", "0",
+                          "--grid", "-1,6,1000"])
+    assert code == EXIT_OK
+    x = [s["x"] for s in json.loads(text)["samples"]]
+    assert (x[0], x[-1], len(x)) == (-1.0, 6.0, 1000)
+
+
 def test_wavefunction_missing_level_exit_code():
     code, _ = run_cli(["wavefunction", "--potential", "morse",
                        "--param", "V1=100", "--param", "V2=20", "--param", "a=1",

@@ -161,6 +161,12 @@ def test_solve_energy_coulomb_exact():
     assert solve_energy(form1, 0) == pytest.approx(-0.125, abs=1e-12)
 
 
+def test_solve_energy_needs_both_window_edges():
+    form, _ = to_parametric(Coulomb(e2=1.0), 0, UNITS)
+    with pytest.raises(ValueError, match="scan_points"):
+        solve_energy(form, 0, scan_points=1)
+
+
 def test_solve_energy_exhausted_well():
     spec = GeneralizedMorse(V1=100.0, V2=20.0, a=1.0)
     form, _ = to_parametric(spec, 0, UNITS)

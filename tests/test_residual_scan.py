@@ -78,11 +78,17 @@ def _scalar_or_nan(form, n, energy, rc):
     return math.nan if math.isinf(value) else value
 
 
+def _scan_point(lo, hi, i, scan_points):
+    """Point i of the closed scan of [lo, hi], evenly spaced in sqrt(hi - E)."""
+    u = 1.0 - i / (scan_points - 1)
+    return lo if i == 0 else hi - (hi - lo) * (u * u)
+
+
 def reference_scan(form, n, rc, lo, hi, scan_points):
     """The scalar scan: sign-change brackets (a, b, fa, fb) in order."""
     prev_e = prev_f = None
     for i in range(scan_points):
-        e = lo + (hi - lo) * (i + 0.5) / scan_points
+        e = _scan_point(lo, hi, i, scan_points)
         f = _scalar_or_nan(form, n, e, rc)
         if math.isnan(f):
             prev_e = prev_f = None
@@ -95,20 +101,30 @@ def reference_scan(form, n, rc, lo, hi, scan_points):
 
 
 def reference_solve(form, n, rc, above=None):
-    """solve_energy with the scalar scan; returns (energy, scan windows)."""
+    """solve_energy with the scalar scan; returns (energy, scan windows).
+
+    A window unbounded above doubles its span; a residual that is not
+    finite at a finite top has its top cell scanned next."""
     lo, hi = form.energy_window
     if above is not None:
         lo = max(lo, above)
-    if math.isinf(hi):
-        windows = [(lo, lo + max(1.0, abs(lo)) * 2.0**k) for k in range(64)]
-    else:
-        windows = [(lo, hi)]
-    for a_lo, a_hi in windows:
-        for a, b, fa, fb in reference_scan(form, n, rc, a_lo, a_hi, SCAN_POINTS):
-            if a == b:
-                return a, windows
-            return parametric._root_in(form, n, rc, (a, b, fa, fb)), windows
+    windows = []
+    for k in range(64):
+        top = lo + max(1.0, abs(lo)) * 2.0**k if math.isinf(hi) else hi
+        windows.append((lo, top))
+        for a, b, fa, fb in reference_scan(form, n, rc, lo, top, SCAN_POINTS):
+            root = a if a == b else parametric._root_in(form, n, rc, (a, b, fa, fb))
+            return (root if root < hi else None), windows
+        if math.isfinite(hi):
+            below_top = _scan_point(lo, hi, SCAN_POINTS - 2, SCAN_POINTS)
+            if not (math.isnan(_scalar_or_nan(form, n, hi, rc)) and lo < below_top < hi):
+                break
+            lo = below_top
     return None, windows
+
+
+def _first_bracket(form, n, rc, lo, hi, scan_points=SCAN_POINTS):
+    return parametric._first_bracket(*parametric._scan(form, n, rc, lo, hi, scan_points))
 
 
 def _assert_bit_equal(x, y):
@@ -120,7 +136,7 @@ def _check_against_reference(form, n, rc, above=None):
     expected, windows = reference_solve(form, n, rc, above)
     for lo, hi in windows:
         ref = next(reference_scan(form, n, rc, lo, hi, SCAN_POINTS), None)
-        assert parametric._first_bracket(form, n, rc, lo, hi, SCAN_POINTS) == ref
+        assert _first_bracket(form, n, rc, lo, hi) == ref
         if ref is not None:
             break
     if expected is None:
@@ -267,7 +283,7 @@ def test_scan_matches_scalar_scan_across_a_nan_stretch():
     assert values[stretch[0] - 1] < 0 < values[stretch[-1] + 1]
     assert _check_against_reference(form, 0, rc) < energies[stretch[0]]
     # no bracket may span the stretch: n = 1 has no root on either scan
-    assert parametric._first_bracket(form, 1, rc, -2.0, -0.01, SCAN_POINTS) is None
+    assert _first_bracket(form, 1, rc, -2.0, -0.01) is None
     assert _check_against_reference(form, 1, rc) is None
     assert _check_against_reference(form, 2, rc) > energies[stretch[-1]]
 
@@ -297,15 +313,16 @@ def _gamma2_form(residual, window):
 
 @pytest.mark.parametrize("slope", [1.0, -1.0])
 def test_scan_returns_an_exact_zero_as_the_root(slope):
-    # the residual vanishes exactly at the sixth of eight scan points, with
-    # either sign just before it
+    # the residual vanishes exactly at the sixth of eight scan points, and at
+    # the first, with either sign just before or after it
     lo, hi, points = -1.0, 1.0, 8
-    exact = lo + (hi - lo) * (5 + 0.5) / points
-    form = _gamma2_form(lambda e: slope * (e - exact), (lo, hi))
-    bracket = parametric._first_bracket(form, 0, RootChoice(), lo, hi, points)
-    assert bracket == next(reference_scan(form, 0, RootChoice(), lo, hi, points))
-    assert bracket[0] == bracket[1] == exact
-    assert solve_energy(form, 0, scan_points=points) == exact
+    for i in (5, 0):
+        exact = _scan_point(lo, hi, i, points)
+        form = _gamma2_form(lambda e: slope * (e - exact), (lo, hi))
+        bracket = _first_bracket(form, 0, RootChoice(), lo, hi, points)
+        assert bracket == next(reference_scan(form, 0, RootChoice(), lo, hi, points))
+        assert bracket[0] == bracket[1] == exact
+        assert solve_energy(form, 0, scan_points=points) == exact
 
 
 def test_scan_takes_the_first_of_several_sign_changes():
@@ -315,19 +332,15 @@ def test_scan_takes_the_first_of_several_sign_changes():
 
 
 def test_scan_finds_a_root_below_its_first_point():
-    # the root sits in the half cell [lo, first scan point], which the scan
-    # alone never brackets
+    # the root sits just above lo, below the first scan point above lo: the
+    # scan includes lo itself, so its widest cell brackets the root
     lo, hi, points = -1.0, 1.0, 8
     root = lo + 0.3 * (hi - lo) * 0.5 / points
+    assert root < _scan_point(lo, hi, 1, points)
     form = _gamma2_form(lambda e: e - root, (lo, hi))
-    assert list(reference_scan(form, 0, RootChoice(), lo, hi, points)) == []
+    assert next(reference_scan(form, 0, RootChoice(), lo, hi, points))[0] == lo
     assert solve_energy(form, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
-    # a residual that is not finite at lo itself is read just above it
-    nan_at_lo = _gamma2_form(
-        lambda e: np.where(np.asarray(e) == lo, np.nan, np.asarray(e) - root), (lo, hi))
-    assert math.isnan(quantization_residual(nan_at_lo, 0, lo))
-    assert solve_energy(nan_at_lo, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
-    # no root below the first point: nothing is bracketed there
+    # no root above lo: nothing is bracketed there
     above = _gamma2_form(lambda e: e - (lo - 0.5), (lo, hi))
     with pytest.raises(NoBoundState):
         solve_energy(above, 0, scan_points=points)
@@ -341,7 +354,8 @@ def test_scan_finds_a_root_below_its_first_point():
     DeformedRosenMorse(V1=1.0, V2=1e8, a=1.0, eta=1.0),
 ], ids=lambda s: s.family)
 def test_deep_well_keeps_the_level_below_the_first_scan_point(spec):
-    # the zero-point energy is below half a scan spacing of the window bottom
+    # the zero-point energy is below half a uniform scan spacing of the
+    # window bottom: the level lies between lo and the next scan point
     form, _ = to_parametric(spec, 0, UNITS)
     lo, hi = form.energy_window
     expected = [closed_form_energy(spec, 0, UNITS, n) for n in range(3)]
@@ -408,31 +422,64 @@ def test_spectrum_scalar_residual_budget(spec, monkeypatch):
 
 
 def test_scan_finds_a_root_above_its_last_point():
-    # the root sits in the half cell [last scan point, hi], which the scan
-    # alone never brackets
+    # the root sits above the last scan point below hi, in the scan's top
+    # cell: the scan includes hi itself, so that cell brackets the root
     lo, hi, points = -1.0, 1.0, 8
-    root = hi - 0.3 * (hi - lo) * 0.5 / points
+    below_top = _scan_point(lo, hi, points - 2, points)
+    root = hi - 0.3 * (hi - below_top)
     form = _gamma2_form(lambda e: e - root, (lo, hi))
-    assert list(reference_scan(form, 0, RootChoice(), lo, hi, points)) == []
+    assert next(reference_scan(form, 0, RootChoice(), lo, hi, points))[1] == hi
     assert solve_energy(form, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
-    # a residual that is not finite in the last ulps below hi is read below them
+    # a residual that is not finite at hi and in the last ulps below it: the
+    # top cell is scanned again, closer to hi
     nan_near_hi = _gamma2_form(
         lambda e: np.where(np.asarray(e) > hi - 1e-15, np.nan, np.asarray(e) - root), (lo, hi))
     assert math.isnan(quantization_residual(nan_near_hi, 0, math.nextafter(hi, lo)))
+    assert list(reference_scan(nan_near_hi, 0, RootChoice(), lo, hi, points)) == []
     assert solve_energy(nan_near_hi, 0, scan_points=points) == pytest.approx(root, abs=1e-15)
-    # a root at hi itself is a level at the asymptote, not a bound one
-    for at_top in (hi, hi - 0.5 * parametric.TOP_EDGE_ULPS * math.ulp(hi)):
-        with pytest.raises(NoBoundState):
-            solve_energy(_gamma2_form(lambda e: e - at_top, (lo, hi)), 0, scan_points=points)
+    # a root at hi itself is a level at the asymptote, not a bound one; a
+    # root a few ulp below hi is kept
+    with pytest.raises(NoBoundState):
+        solve_energy(_gamma2_form(lambda e: e - hi, (lo, hi)), 0, scan_points=points)
+    at_top = hi - 8 * math.ulp(hi)
+    level = solve_energy(_gamma2_form(lambda e: e - at_top, (lo, hi)), 0, scan_points=points)
+    assert at_top - 2 * math.ulp(hi) <= level < hi
     # with a root in each edge cell the lower one is the level
     bottom = lo + 0.3 * (hi - lo) * 0.5 / points
     both = _gamma2_form(lambda e: (e - bottom) * (e - root), (lo, hi))
     assert solve_energy(both, 0, scan_points=points) == pytest.approx(bottom, abs=1e-15)
 
 
+def test_inverse_power_levels_in_the_top_cell_are_kept():
+    # every level is bound by under 2.3e-10 of a 0.007-deep window, inside
+    # the scan's top cell, and the residual is NaN at the top (c2 - 2 p10 = 0
+    # there): the top cell is scanned again
+    spec, units = Mie(V0=0.014, a=0.024), UnitsConfig(hbar=7.86)
+    form, _ = to_parametric(spec, 1, units)
+    lo, hi = form.energy_window
+    assert math.isnan(quantization_residuals(form, 0, np.array([hi]))[0])
+    states = spectrum(spec, 1, units, n_max=4)
+    assert [s.n for s in states] == [0, 1, 2, 3, 4]
+    for state in states:
+        expected = closed_form_energy(spec, 1, units, state.n)
+        assert expected > _scan_point(lo, hi, SCAN_POINTS - 2, SCAN_POINTS)
+        assert abs(state.energy - expected) <= 1e-12 * abs(expected)
+
+
+def test_a_root_that_rounds_to_the_asymptote_is_not_bound():
+    # Woods-Saxon n = 1 at its threshold: the 50-digit level is the
+    # asymptote -V1 itself, and the refined root rounds to it
+    spec = WoodsSaxon(V1=1.0, V2=4.121320343559645, a=1.0)
+    assert _mp_level(spec, UNITS, 1) == -1.0
+    form, _ = to_parametric(spec, 0, UNITS)
+    with pytest.raises(NoBoundState):
+        solve_energy(form, 1, spec.root_choice(), above=math.nextafter(-1.3, 0.0))
+    assert [s.n for s in spectrum(spec, 0, UNITS, n_max=2)] == [0]
+
+
 @pytest.mark.parametrize("V2", [21.22, 21.25, 21.3])
 def test_level_bound_by_less_than_half_a_scan_cell_is_kept(V2):
-    # Morse n = 1 lies between the last scan point and the asymptote
+    # Morse n = 1 lies within half a uniform scan spacing of the asymptote
     spec = GeneralizedMorse(V1=100.0, V2=V2, a=1.0)
     form, _ = to_parametric(spec, 0, UNITS)
     lo, hi = form.energy_window
@@ -472,52 +519,79 @@ def _threshold(make, n):
     return hi
 
 
+def _mp_level(spec, units, n):
+    """Level n of one of the four wells from its closed form at 50 digits on
+    the same float parameters, or None where it is not bound: the float64
+    closed forms lose digits near a level's threshold.  Woods-Saxon is the
+    Rosen-Morse well at a/2 and eta = 1 lowered by V1, and Poschl-Teller the
+    Rosen-Morse well with V1 = 0 and V2 = 4 V0; Morse has its own form."""
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        hbar, mass = mp(units.hbar), mp(units.mass)
+        if isinstance(spec, GeneralizedMorse):
+            a = mp(spec.a)
+            w = mpmath.sqrt(2 * mass) * mp(spec.V2) / (hbar * a * mpmath.sqrt(mp(spec.V1)))
+            bracket = w - (2 * n + 1)
+            return float(-(hbar * a) ** 2 / (8 * mass) * bracket**2) if bracket > 0 else None
+        if isinstance(spec, WoodsSaxon):
+            left, step, depth, a, eta = -mp(spec.V1), mp(spec.V1), mp(spec.V2), mp(spec.a) / 2, 1
+        elif isinstance(spec, PoschlTeller):
+            left, step, depth, a, eta = 0, 0, 4 * mp(spec.V0), mp(spec.a), mp(spec.eta)
+        else:
+            left, step, depth, a, eta = 0, mp(spec.V1), mp(spec.V2), mp(spec.a), mp(spec.eta)
+        c = mass / (2 * hbar**2 * a**2)
+        kappa, gamma = c * step, c * depth * eta
+        s_n = (mpmath.sqrt(1 + 4 * gamma / eta) - 1) / 2 - n
+        if s_n <= mpmath.sqrt(kappa):
+            return None
+        return float(left - ((s_n**2 - kappa) / (2 * s_n)) ** 2 / c)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_WELLS)), st.integers(1, 3), st.floats(-3.0, -1.0))
+@given(st.sampled_from(sorted(_WELLS)), st.integers(1, 3), st.floats(-12.0, -1.0))
 def test_wells_keep_every_level_just_above_its_threshold(family, n, log_excess):
-    # level n is bound by far less than half a scan cell; every level the
-    # closed form holds must come back, to the closed form's tolerance
+    # level n is bound by far less than a uniform scan cell, down to where
+    # float64 barely tells it from the asymptote: every level more than 4 ulp
+    # below the asymptote must come back, within 1e-12 of the 50-digit closed
+    # form or 100 times the float64 closed form's own error there.  That
+    # error counts the shift of the 50-digit level over one ulp of the depth:
+    # the realized error of a float64 closed form can fall far below it (at
+    # Poschl-Teller V0 = 3.0000000000471534, n = 2 it is 7.5e-12 relative,
+    # while one ulp of V0 moves the level by 1.9e-5)
     make = _WELLS[family]
-    spec = make(_threshold(make, n) * (1.0 + 10.0**log_excess))
-    expected = [closed_form_energy(spec, 0, UNITS, m) for m in range(n + 1)]
+    depth = _threshold(make, n) * (1.0 + 10.0**log_excess)
+    spec = make(depth)
+    hi = to_parametric(spec, 0, UNITS)[0].energy_window[1]
+    exact = [_mp_level(spec, UNITS, m) for m in range(n + 1)]
+    kept = [m for m, e in enumerate(exact) if e is not None and e < hi - 4 * math.ulp(hi)]
     states = spectrum(spec, 0, UNITS, n_max=n)
-    assert [s.n for s in states] == list(range(n + 1))
-    for state, energy in zip(states, expected):
-        assert abs(state.energy - energy) <= CLOSED_FORM_RTOL * abs(energy)
+    assert [s.n for s in states][:len(kept)] == kept
+    for state in states:
+        energy = exact[state.n]
+        assert energy is not None
+        error = max([abs(closed_form_energy(spec, 0, UNITS, state.n) - energy)]
+                    + [abs(_mp_level(make(d), UNITS, state.n) - energy)
+                       for d in (math.nextafter(depth, 0.0), math.nextafter(depth, math.inf))])
+        assert abs(state.energy - energy) <= max(1e-12 * abs(energy), 100 * error)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_WELLS)), st.integers(1, 2), st.floats(-12.0, -6.0))
 def test_levels_at_the_edge_of_resolution_stay_ordered_and_close(family, n, log_excess):
-    # a level bound by 1e-24 to 1e-6 of the window: the residual resolves E
-    # only to a few ulp of the window's scale, and not at all within
-    # TOP_EDGE_ULPS of the asymptote, where the level is left out
+    # a level bound by 1e-24 to 1e-6 of the window: the levels that come
+    # back are the lowest ones, ordered, below the asymptote, and within a
+    # few ulp of the window's scale of the closed form
     make = _WELLS[family]
     spec = make(_threshold(make, n) * (1.0 + 10.0**log_excess))
     form, _ = to_parametric(spec, 0, UNITS)
     lo, hi = form.energy_window
     states = spectrum(spec, 0, UNITS, n_max=n)
-    band = parametric.TOP_EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
-    if closed_form_energy(spec, 0, UNITS, n) < hi - 2 * band:
-        assert [s.n for s in states] == list(range(n + 1))
-    else:
-        assert [s.n for s in states] in (list(range(n)), list(range(n + 1)))
+    assert [s.n for s in states] in (list(range(n)), list(range(n + 1)))
     energies = [s.energy for s in states]
     assert energies == sorted(energies) and energies[-1] < hi
     for state in states:
         expected = closed_form_energy(spec, 0, UNITS, state.n)
         assert abs(state.energy - expected) <= 1e-14 * (hi - lo)
-
-
-def _mp_rosen_morse_level(spec, units, n):
-    """The closed-form Rosen-Morse level at 50 digits: the float64 closed
-    form loses digits to s_n^2 - kappa near a level's threshold."""
-    with mpmath.workdps(50):
-        mp = mpmath.mpf
-        c = mp(units.mass) / (2 * mp(units.hbar) ** 2 * mp(spec.a) ** 2)
-        kappa, gamma = c * mp(spec.V1), c * mp(spec.V2) * mp(spec.eta)
-        s_n = (mpmath.sqrt(1 + 4 * gamma / mp(spec.eta)) - 1) / 2 - n
-        return float(-((s_n**2 - kappa) / (2 * s_n)) ** 2 / c)
 
 
 def test_weakly_bound_rosen_morse_level_keeps_its_digits():
@@ -528,21 +602,21 @@ def test_weakly_bound_rosen_morse_level_keeps_its_digits():
     spec = DeformedRosenMorse(V1=1.0, V2=9.242641611383357, a=1.0, eta=1.0)
     states = spectrum(spec, 0, UNITS, n_max=1)
     assert [s.n for s in states] == [0, 1]
-    expected = _mp_rosen_morse_level(spec, UNITS, 1)
+    expected = _mp_level(spec, UNITS, 1)
     assert expected == pytest.approx(-2.1920748574395633e-14, rel=1e-15)
     assert abs(states[1].energy - expected) <= 1e-8 * abs(expected)
 
 
 def test_rosen_morse_level_far_below_its_step_is_kept():
     # the step V1 = 80 is far above the well's depth: a level bound by
-    # 2.1e-6 lies in the top half scan cell, where the residual from the
-    # summed H was NaN at the top edge and the level was lost
+    # 2.1e-6 lies within half a uniform scan spacing of the asymptote, where
+    # the residual from the summed H was NaN and the level was lost
     spec = DeformedRosenMorse(80.0, 86.05805001468568, 0.25, 1.0)
     units = UnitsConfig(0.5359415813664211, 0.7343350014051897)
     states = spectrum(spec, 0, units, n_max=3)
     assert [s.n for s in states] == [0, 1]
     for state in states:
-        expected = _mp_rosen_morse_level(spec, units, state.n)
+        expected = _mp_level(spec, units, state.n)
         assert abs(state.energy - expected) <= CLOSED_FORM_RTOL * abs(expected)
 
 
@@ -554,12 +628,16 @@ def test_rosen_morse_level_far_below_its_step_is_kept():
                          ids=lambda s: s.family)
 def test_refiner_steps_past_a_nan_stretch(spec, monkeypatch):
     # the residual is NaN from 1e-14 beyond the root to the bracket end with
-    # the larger |residual|, the end the refiner steps away from
+    # the larger |residual|, the end the refiner steps away from; the bracket
+    # is 1e-3 |root| wide with its root 0.7 of the way up, where the first
+    # interpolation steps land beyond the root
     form, _ = to_parametric(spec, 0, UNITS)
     rc = spec.root_choice()
-    bracket = parametric._first_bracket(form, 0, rc, *form.energy_window, SCAN_POINTS)
-    a, b, fa, fb = bracket
-    root = parametric._root_in(form, 0, rc, bracket)
+    root = solve_energy(form, 0, rc)
+    a = root - 0.7e-3 * abs(root)
+    b = a + 1e-3 * abs(root)
+    fa, fb = quantization_residual(form, 0, a, rc), quantization_residual(form, 0, b, rc)
+    bracket = a, b, fa, fb
     far = a if abs(fa) > abs(fb) else b
     edge = root + math.copysign(1e-14 * abs(root), far - root)
     scalar = parametric.quantization_residual
