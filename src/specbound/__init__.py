@@ -11,6 +11,7 @@ from .errors import (
     ConsistencyViolation,
     DegreeOverflow,
     GridTooCoarse,
+    GridTooLarge,
     InvalidParameters,
     NegativeDiscriminant,
     NoBoundState,

@@ -29,6 +29,7 @@ from . import oracle as orc
 from . import potentials as pot
 from .errors import (
     GridTooCoarse,
+    GridTooLarge,
     InvalidParameters,
     NoBoundState,
     SpecboundError,
@@ -431,6 +432,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_NO_BOUND_STATE
     except GridTooCoarse as exc:
         print(f"grid too coarse: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except GridTooLarge as exc:
+        print(f"grid too large: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (SpecboundError, OSError, json.JSONDecodeError,
             KeyError, IndexError, TypeError, ValueError) as exc:

@@ -61,3 +61,7 @@ class TooFewSamples(SpecboundError):
 
 class GridTooCoarse(SpecboundError):
     """Doubling the grid resolution moved an eigenvalue beyond tolerance."""
+
+
+class GridTooLarge(SpecboundError):
+    """The oracle grid has more intervals than it may build a matrix for."""

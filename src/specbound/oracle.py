@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials as pot
-from .errors import GridTooCoarse, InvalidParameters
+from .errors import GridTooCoarse, GridTooLarge, InvalidParameters
 from .quadrature import RadialGrid, simpson_integrate
 
 #: relative eigenvalue movement between the two resolutions above which the
@@ -79,6 +79,9 @@ REDUCE_MIN_ROWS = 256
 #: squared edge c to p's row, as one 2x2 block pivot when |p s| < BLOCK_PIVOT
 #: c; the block's determinant p s - c is then at least (1 - BLOCK_PIVOT) c
 BLOCK_PIVOT = (math.sqrt(5.0) - 1.0) / 2.0
+#: most intervals of an h grid the oracle builds matrices for; the h/2
+#: matrix then has 2^23 rows, 64 MB per float64 array
+MAX_INTERVALS = 2**22
 
 
 @dataclass(frozen=True)
@@ -517,9 +520,11 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     eigenvalues below lo and at least k + 1 below hi, for level k.  Every
     count tightens the brackets of all levels, so a level starts from what
     the sweeps of earlier levels certified.  A level's bracket is bisected
-    until it holds exactly one eigenvalue; from there (or from a seed with
-    k or k + 1 eigenvalues below it) Laguerre steps, safeguarded by the
-    bracket, replace bisection.  Once a step crosses the level or falls
+    until it holds exactly one eigenvalue (without seeds, the first count is
+    at the lower of the two end rows' potentials, which bounds a well's
+    levels far more tightly than the Gershgorin top); from there (or from a
+    seed with k or k + 1 eigenvalues below it) Laguerre steps, safeguarded
+    by the bracket, replace bisection.  Once a step crosses the level or falls
     below the final bracket width, or Laguerre's cubic convergence puts the
     error left after a step of length dist below half the final bracket
     width (dist (dist / gap)^2, gap being the distance to the nearest other
@@ -545,10 +550,14 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     chi = [n] * count  # eigenvalues below hi[k]
     sweeps = 0
     out: list[float] = []
+    # the lower end potential, where a well's bound levels end
+    end = min(float(pot[0]), float(pot[-1]))
     for k in range(count):
         seed = seeds[k] if k < len(seeds) else None
         if seed is not None and lo[k] < seed < hi[k]:
             x, kind = seed, "laguerre"
+        elif k == 0 and len(seeds) == 0 and bottom < end < top:
+            x, kind = end, "bisect"
         else:
             x, kind = 0.5 * lo[k] + 0.5 * hi[k], "bisect"
         neighbours = out + [v for j, v in enumerate(seeds)
@@ -623,6 +632,15 @@ def _operator(v_eff, x_min: float, x_max: float, intervals: int,
     return x, t, np.array(v_eff(x[1:-1]), dtype=float)
 
 
+def _check_intervals(intervals: int) -> None:
+    """Refuse an h grid of more than MAX_INTERVALS intervals before any
+    array of it is built."""
+    if intervals > MAX_INTERVALS:
+        raise GridTooLarge(
+            f"the oracle grid needs {intervals} intervals at h, above the cap of "
+            f"{MAX_INTERVALS}")
+
+
 def _solve(v_eff, x_min: float, x_max: float, intervals: int,
            units: pot.UnitsConfig, count: int, seeds=(), certify: bool = True):
     """The lowest eigenvalues of the operator on ``intervals`` intervals,
@@ -664,8 +682,12 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     the h eigenvalues, which sit within the Richardson movement of their
     h/2 counterparts.  Each matrix's own Sturm counts confirm or overrule
     every seed, so seeds change the sweeps spent, not the values.
+
+    Raises GridTooLarge, before building any matrix, when the grid has more
+    than MAX_INTERVALS intervals.
     """
     intervals = grid.n_points - 1
+    _check_intervals(intervals)
     seeds, seed_sweeps = (), 0
     if intervals // SEED_COARSENING >= SEED_MIN_INTERVALS:
         seeds, seed_sweeps = _solve(v_eff, grid.x_min, grid.x_max,
@@ -702,7 +724,8 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     discretization of the continuum produces spurious levels above it).
     Raises GridTooCoarse when the two-resolution check exceeds 1e-4
     relative, unless ``strict_grid`` is false, in which case the inadequacy
-    is only flagged on the returned spectrum.
+    is only flagged on the returned spectrum, and GridTooLarge for a grid of
+    more than MAX_INTERVALS intervals.
     """
     if grid is None:
         grid = pot.default_grid(spec, l, units, n_max=max(0, count - 1))
@@ -768,6 +791,7 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
     positive.  Radial problems return the reduced function u = r R.
     """
     grid = _effective_grid(spec, grid)
+    _check_intervals(grid.n_points - 1)
 
     def v_eff(x):
         return pot.effective_potential(spec, l, units, x)

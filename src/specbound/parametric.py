@@ -355,9 +355,17 @@ def _brent(form, n, root_choice, a, b, fa, fb) -> float:
     bracket width 1e-15, on an exact zero or after 200 steps, and returns
     b; the residual's slope is O(1..100) for every catalog case, so that
     leaves |residual| far below the 1e-10 contract.
+
+    A NaN residual (defensive: no catalog input puts one inside a bracket)
+    tells neither side of the root, so the bracket keeps its ends.  The
+    stretch of NaN trial points, taken as one interval, is widened by each
+    of them, and the wider of the bracket's two parts beside it is halved
+    (:func:`_beside`) until a finite point moves an end; once an end lies
+    across the root from the stretch, interpolation resumes.
     """
     c, fc = a, fa
     d = e = b - a
+    stretch = None  # (low, high): the NaN trial points inside [b, c]
     for _ in range(200):
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
@@ -365,37 +373,50 @@ def _brent(form, n, root_choice, a, b, fa, fb) -> float:
         m = 0.5 * (c - b)
         if fb == 0.0 or abs(m) <= tol:
             break
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                t, r = fa / fc, fb / fc
-                p = s * (2.0 * m * t * (t - r) - (b - a) * (r - 1.0))
-                q = (t - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = (p, -q) if p > 0.0 else (-p, q)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
+        if stretch is not None:
+            x = _beside(stretch, min(b, c), max(b, c), tol)
+            if x is None:
+                break
+        else:
+            if abs(e) >= tol and abs(fa) > abs(fb):
+                s = fb / fa
+                if a == c:
+                    p, q = 2.0 * m * s, 1.0 - s
+                else:
+                    t, r = fa / fc, fb / fc
+                    p = s * (2.0 * m * t * (t - r) - (b - a) * (r - 1.0))
+                    q = (t - 1.0) * (r - 1.0) * (s - 1.0)
+                p, q = (p, -q) if p > 0.0 else (-p, q)
+                if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                    e, d = d, p / q
+                else:
+                    e = d = m
             else:
                 e = d = m
-        else:
-            e = d = m
-        x = b + (d if abs(d) > tol else math.copysign(tol, m))
-        if x == b:  # tol below half an ulp of b: only in subnormal brackets
-            break
+            x = b + (d if abs(d) > tol else math.copysign(tol, m))
+            if x == b:  # tol below half an ulp of b: only in subnormal brackets
+                break
         fx = _residual_or_nan(form, n, x, root_choice)
         if math.isnan(fx):
-            # defensive: both ends are finite, so pull the far end in to x
-            # with its sign, marked infinite so that it is never taken as
-            # the best end, and halve next
-            c, fc = x, math.copysign(math.inf, fc)
-            e = d = 0.0
+            stretch = (x, x) if stretch is None else (min(stretch[0], x), max(stretch[1], x))
             continue
         a, fa, b, fb = b, fb, x, fx
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             e = d = b - a
+        if stretch is not None and not min(b, c) < stretch[0] < max(b, c):
+            stretch = None
+            e = d = b - a
     return b
+
+
+def _beside(stretch, low, high, tol):
+    """The midpoint of the wider of the two parts of [low, high] beside the
+    NaN stretch, or None when neither is wider than 2 tol."""
+    left, right = stretch[0] - low, high - stretch[1]
+    if max(left, right) <= 2.0 * tol:
+        return None
+    return low + 0.5 * left if left >= right else stretch[1] + 0.5 * right
 
 
 def _scan(form, n, root_choice, lo, hi, scan_points):

@@ -1,10 +1,14 @@
 """Jacobi and associated Laguerre polynomial evaluation.
 
-Production evaluation uses the forward three-term recurrences, which are
+Production evaluation uses forward three-term recurrences, which are
 stable for the degree and argument ranges needed here (n <= 30, arguments
-within or near the orthogonality interval).  The explicit finite sums are
-retained as independent test oracles; they grow factorially and are capped
-at n = 20.
+within or near the orthogonality interval; Gautschi, SIAM Rev. 9, 1967).
+Jacobi runs in the normalized form P_m = (A_m z + B_m) P_(m-1) - C_m
+P_(m-2) (DLMF 18.9.1), with the division of each degree folded into three
+scalars; both kernels update their two running arrays in place, so a degree
+costs five array operations and no allocation.  The explicit finite sums
+are retained as independent test oracles; they grow factorially and are
+capped at n = 20.
 """
 
 from __future__ import annotations
@@ -36,26 +40,43 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
     p_prev = np.ones_like(z)
     if n == 0:
         return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = (alpha + 1) + (alpha + beta + 2) * (z - 1) / 2
+    # P_1 = (alpha + 1) + (alpha + beta + 2) (z - 1) / 2, kept an array
+    # (with ``out``) when z is 0-d so that the loop can update it in place
+    p_cur = np.subtract(z, 1.0, out=np.empty_like(z))
+    p_cur *= (alpha + beta + 2) / 2
+    p_cur += alpha + 1
+    spare = np.empty_like(z)
     for m in range(2, n + 1):
         c = 2 * m + alpha + beta
         a1 = 2 * m * (m + alpha + beta) * (c - 2)
-        a2 = (c - 1) * (c * (c - 2) * z + alpha**2 - beta**2)
-        a3 = 2 * (m + alpha - 1) * (m + beta - 1) * c
-        p_prev, p_cur = p_cur, (a2 * p_cur - a3 * p_prev) / a1
+        # P_m = (A z + B) P_(m-1) - C P_(m-2) into the spare buffer; the
+        # buffer of P_(m-2) is the next spare
+        np.multiply(z, (c - 1) * c * (c - 2) / a1, out=spare)
+        spare += (c - 1) * (alpha**2 - beta**2) / a1
+        spare *= p_cur
+        p_prev *= 2 * (m + alpha - 1) * (m + beta - 1) * c / a1
+        spare -= p_prev
+        p_prev, p_cur, spare = p_cur, spare, p_prev
     return p_cur if p_cur.ndim else float(p_cur)
 
 
 def laguerre_eval(n: int, k: float, z):
-    """Evaluate the associated Laguerre polynomial L_n^k(z) by recurrence."""
+    """Evaluate the associated Laguerre polynomial L_n^k(z) by recurrence,
+    m L_m = (2m - 1 + k - z) L_(m-1) - (m - 1 + k) L_(m-2)."""
     _check_degree(n)
     z = np.asarray(z, dtype=float)
     l_prev = np.ones_like(z)
     if n == 0:
         return l_prev if l_prev.ndim else float(l_prev)
-    l_cur = 1 + k - z
+    l_cur = np.subtract(1 + k, z, out=np.empty_like(z))
+    spare = np.empty_like(z)
     for m in range(2, n + 1):
-        l_prev, l_cur = l_cur, ((2 * m - 1 + k - z) * l_cur - (m - 1 + k) * l_prev) / m
+        np.subtract(2 * m - 1 + k, z, out=spare)
+        spare *= l_cur
+        l_prev *= m - 1 + k
+        spare -= l_prev
+        spare /= m
+        l_prev, l_cur, spare = l_cur, spare, l_prev
     return l_cur if l_cur.ndim else float(l_cur)
 
 

@@ -250,6 +250,18 @@ def test_verify_coarse_grid_fails_with_flag():
     assert report["grid_adequate"] is False
 
 
+@pytest.mark.parametrize("args, intervals", [
+    (["--potential", "coulomb", "--param", "e2=0.0954", "--hbar", "9.47", "--mass", "0.605",
+      "--l", "2", "--n-max", "3"], 24075032),
+    (["--potential", "noncentral_radial", "--param", "alpha=-0.02", "--param", "lambda=0.0308",
+      "--hbar", "6.33", "--mass", "0.115", "--n-max", "3"], 125443817),
+])
+def test_verify_refuses_a_grid_above_the_row_cap(args, intervals, capsys):
+    code, text = run_cli(["verify", *args])
+    assert code == EXIT_VERIFY_FAILED and text == ""
+    assert f"needs {intervals} intervals at h" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("V2", ["21.22", "21.25", "21.3"])
 def test_verify_does_not_pass_on_one_of_two_morse_levels(V2):
     # n = 1 is bound by less than half a scan cell; the residual route

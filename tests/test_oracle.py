@@ -15,13 +15,17 @@ from specbound import (
     DeformedRosenMorse,
     GeneralizedMorse,
     GridTooCoarse,
+    GridTooLarge,
     InvalidParameters,
     KratzerFues,
     Mie,
+    NoncentralRadial,
+    PoschlTeller,
     Pseudoharmonic,
     RadialGrid,
     TooFewSamples,
     UnitsConfig,
+    WoodsSaxon,
     compare_spectra,
     count_nodes,
     default_grid,
@@ -203,6 +207,53 @@ def test_seed_solve_sweep_budget_coulomb():
     small = fd_eigenvalues(spec, 0, UNITS, grid=RadialGrid(0.0, 40.0, 400), count=3,
                            strict_grid=False)
     assert small.seed_sweeps == 0
+
+
+def test_seed_solves_start_below_the_end_potential():
+    # the nine desk rows as `verify --n-max 2` solves them: the unseeded
+    # seed solve counts first at the lower of its end rows' potentials,
+    # which bounds every well's levels; bisecting from the Gershgorin top
+    # instead took 183 seed sweeps, 19 of them for Morse
+    desk = [GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), Mie(V0=5.0, a=1.0),
+            KratzerFues(De=10.0, re=1.0), Coulomb(e2=1.0), Pseudoharmonic(V0=2.0, r0=1.0),
+            NoncentralRadial(alpha=-1.0, lam=0.0),
+            DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0),
+            WoodsSaxon(V1=5.0, V2=10.0, a=1.0), PoschlTeller(V0=10.0, a=1.0, eta=1.0)]
+    sweeps = {}
+    for spec in desk:
+        count = len(spectrum(spec, 0, UNITS, n_max=2))
+        sweeps[spec.family] = fd_eigenvalues(spec, 0, UNITS, count=count).seed_sweeps
+    assert sum(sweeps.values()) <= 140
+    assert sweeps["morse"] <= 8
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("the oracle built a matrix")
+
+
+@pytest.mark.parametrize("spec, l, units, intervals", [
+    (Coulomb(e2=0.0954), 2, UnitsConfig(hbar=9.47, mass=0.605), 24075032),
+    (NoncentralRadial(alpha=-0.02, lam=0.0308), 0, UnitsConfig(hbar=6.33, mass=0.115),
+     125443817),
+])
+def test_grids_above_the_row_cap_are_refused_before_any_matrix(spec, l, units, intervals,
+                                                               monkeypatch):
+    # float64 arrays of these h/2 grids would take 0.4 and 2 GB each
+    monkeypatch.setattr(oracle, "_operator", _refuse_to_build)
+    with pytest.raises(GridTooLarge, match=f"needs {intervals} intervals"):
+        fd_eigenvalues(spec, l, units, count=4)
+    grid = default_grid(spec, l, units, n_max=3)
+    with pytest.raises(GridTooLarge):
+        fd_eigenvector(spec, l, units, grid, 0)
+    assert grid.n_points - 1 == intervals > oracle.MAX_INTERVALS
+
+
+def test_row_cap_admits_the_largest_grid_that_passes():
+    # verify --hbar 30 (Coulomb e2 = 1) passes on 3644999 intervals
+    units = UnitsConfig(hbar=30.0)
+    assert default_grid(Coulomb(e2=1.0), 0, units, n_max=2).n_points - 1 == 3644999
+    assert 3644999 <= oracle.MAX_INTERVALS
+    oracle._check_intervals(oracle.MAX_INTERVALS)
 
 
 def test_seed_solve_stops_at_converged_estimates():

@@ -4,8 +4,11 @@ the defining differential operators."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbound import (
     DegreeOverflow,
@@ -163,12 +166,23 @@ def _jacobi_exact(n, a, b, z):
     return total
 
 
+#: a scalar, and arrays of 1 and of 257 elements: the kernels run one loop
+#: body for all of them
+SHAPES = [None, (1,), (257,)]
+
+
+def _at(z, shape):
+    return float(z) if shape is None else np.full(shape, float(z))
+
+
 def test_laguerre_recurrence_at_claimed_extremes():
     # accuracy contract: relative error below 1e-12 up to n = 30, z = 200
     for n, k, z in [(30, 2, 200), (30, 0, 200), (25, 5, 120), (30, 3, 7)]:
         exact = _laguerre_exact(n, k, Fraction(z))
-        got = laguerre_eval(n, float(k), float(z))
-        assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+        for shape in SHAPES:
+            got = laguerre_eval(n, float(k), _at(z, shape))
+            assert np.shape(got) == (shape or ())
+            assert np.all(np.abs(got - float(exact)) <= 1e-12 * abs(float(exact)))
 
 
 def test_jacobi_recurrence_at_claimed_extremes():
@@ -176,8 +190,63 @@ def test_jacobi_recurrence_at_claimed_extremes():
     for n, a, b, z in [(30, 1, 2, Fraction(3, 2)), (30, 0, 0, Fraction(-3, 2)),
                        (30, 2, 0, Fraction(1, 3))]:
         exact = _jacobi_exact(n, a, b, z)
-        got = jacobi_eval(n, float(a), float(b), float(z))
-        assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+        for shape in SHAPES:
+            got = jacobi_eval(n, float(a), float(b), _at(z, shape))
+            assert np.shape(got) == (shape or ())
+            assert np.all(np.abs(got - float(exact)) <= 1e-12 * abs(float(exact)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 40), alpha=st.floats(-0.99, 60.0), beta=st.floats(-0.99, 60.0),
+       start=st.floats(-1.5, 1.25), width=st.floats(0.25, 3.0))
+def test_jacobi_array_matches_40_digit_reference(n, alpha, beta, start, width):
+    # 16 points spread over at least a quarter of [-1.5, 1.5], so that the
+    # largest |P| of the sample is not one near a zero; the error is taken
+    # against it.  The reference is (alpha + 1)_n / n! 2F1(-n, n + alpha +
+    # beta + 1; alpha + 1; (1 - z)/2) (DLMF 18.5.7) at 40 digits: mpmath's
+    # own jacobi loses a tiny beta when alpha is an integer.  The bound
+    # leaves room for the corner alpha = beta = -0.99, where the recurrence
+    # (in its unnormalized form too) reaches 1.2e-12 of max |P| at n = 14
+    z = np.linspace(start, min(start + width, 1.5), 16)
+    got = jacobi_eval(n, alpha, beta, z)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.binomial(n + alpha, n) * mpmath.hyp2f1(
+            -n, n + alpha + beta + 1, alpha + 1, (1 - mpmath.mpf(v)) / 2, zeroprec=400))
+            for v in z])
+    assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+
+def _laguerre_reference(n, k, z):
+    # the recurrence as the kernel computes it, one new array per operation
+    z = np.asarray(z, dtype=float)
+    l_prev = np.ones_like(z)
+    if n == 0:
+        return l_prev
+    l_cur = 1 + k - z
+    for m in range(2, n + 1):
+        l_prev, l_cur = l_cur, ((2 * m - 1 + k - z) * l_cur - (m - 1 + k) * l_prev) / m
+    return l_cur
+
+
+def test_laguerre_values_are_those_of_the_plain_recurrence_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 2, 7, 30, 120):
+        for k in (0.0, 0.5, 3.0, 47.25):
+            z = np.concatenate([np.linspace(0.0, 200.0, 257), rng.uniform(0.0, 500.0, 64)])
+            expect = _laguerre_reference(n, k, z)
+            assert np.array_equal(laguerre_eval(n, k, z), expect)
+            for i in (0, 100, 300):
+                assert laguerre_eval(n, k, float(z[i])) == float(expect[i])
+
+
+def test_kernels_leave_their_argument_alone():
+    z = np.linspace(-1.5, 1.5, 33)
+    kept = z.copy()
+    z.flags.writeable = False  # an in-place write into z would raise
+    for n in (0, 1, 2, 9):
+        jacobi_eval(n, 0.5, -0.25, z)
+        laguerre_eval(n, 1.5, z)
+    assert np.array_equal(z, kept)
 
 
 def test_binomial_matches_integer_cases():

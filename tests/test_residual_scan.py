@@ -660,6 +660,40 @@ def test_refiner_steps_past_a_nan_stretch(spec, monkeypatch):
     assert fx == 0.0 or (below < 0.0) != (above < 0.0)
 
 
+@pytest.mark.parametrize("spec", [DESK_CASES[i] for i in (1, 2, 3, 5, 7, 8)],
+                         ids=lambda s: s.family)
+def test_refiner_keeps_the_root_beside_a_nan_stretch(spec, monkeypatch):
+    # the scan's own n = 0 bracket, with the residual NaN from 1e-9 of the
+    # way from the root to the end with the smaller |residual| up to that
+    # end, the best end the refiner steps from: a trial point in the stretch
+    # must not pull the other end across the root (before the guard probed
+    # beside the stretch, the refiner returned a point 2.4e-6 to 1e-3
+    # relative off the root for all but Mie, whose refinement steps from
+    # its other end and never enters the stretch)
+    form, _ = to_parametric(spec, 0, UNITS)
+    rc = spec.root_choice()
+    root = solve_energy(form, 0, rc)
+    bracket = parametric._first_bracket(*parametric._scan(form, 0, rc, *form.energy_window,
+                                                          SCAN_POINTS))
+    a, b, fa, fb = bracket
+    near = a if abs(fa) < abs(fb) else b
+    edge = root + 1e-9 * (near - root)
+    scalar = parametric.quantization_residual
+    hits = []
+
+    def patched(form, n, energy, root_choice=RootChoice()):
+        if min(edge, near) < energy < max(edge, near):
+            hits.append(energy)
+            return math.nan
+        return scalar(form, n, energy, root_choice)
+
+    monkeypatch.setattr(parametric, "quantization_residual", patched)
+    x = parametric._root_in(form, 0, rc, bracket)
+    assert hits or isinstance(spec, Mie)
+    assert abs(x - root) <= 1e-12 * abs(root)
+    assert len(hits) < 100
+
+
 def test_refiner_returns_an_exact_zero_at_a_trial_point(monkeypatch):
     # a linear residual: the first secant step lands on its root, where the
     # residual is exactly 0
