@@ -206,13 +206,24 @@ def _laguerre_core(pc, sqrt, quotient):
     return q10, p10, denom, gamma2
 
 
-def _termination_residual(pc, n, root_choice, sqrt, quotient):
-    """r3 - n (n + alpha + beta + 1) on the Jacobi branch, gamma2 - n on the
-    Laguerre branch: the one body behind the scalar and the array residual."""
+def _residual_core(pc, root_choice, sqrt, quotient):
+    """The part of the termination residual that does not depend on n:
+    (r3, alpha, beta) on the Jacobi branch, (gamma2,) on the Laguerre
+    branch, on floats or arrays alike."""
     if pc.branch == JACOBI:
         _, _, alpha, beta, _, _, r3 = _jacobi_core(pc, root_choice, sqrt)
+        return r3, alpha, beta
+    return (_laguerre_core(pc, sqrt, quotient)[3],)
+
+
+def _level_residual(core, n):
+    """r3 - n (n + alpha + beta + 1) on the Jacobi branch, gamma2 - n on the
+    Laguerre branch: the one expression behind the scalar and the array
+    residual, so the two agree bit for bit."""
+    if len(core) == 3:
+        r3, alpha, beta = core
         return r3 - n * (n + alpha + beta + 1.0)
-    return _laguerre_core(pc, sqrt, quotient)[3] - n
+    return core[0] - n
 
 
 def solve_jacobi_constants(pc: ParametricCoefficients,
@@ -278,8 +289,8 @@ def quantization_residual(form: EnergyDependentForm, n: int, energy: float,
     """
     if n < 0:
         raise ValueError("quantum number n must be nonnegative")
-    return _termination_residual(form.coeff_at(energy), n, root_choice,
-                                 _real_sqrt, _scalar_quotient)
+    return _level_residual(_residual_core(form.coeff_at(energy), root_choice,
+                                          _real_sqrt, _scalar_quotient), n)
 
 
 def quantization_residuals(form: EnergyDependentForm, n: int, energies: np.ndarray,
@@ -294,10 +305,22 @@ def quantization_residuals(form: EnergyDependentForm, n: int, energies: np.ndarr
     if n < 0:
         raise ValueError("quantum number n must be nonnegative")
     energies = np.asarray(energies, dtype=float)
+    return _array_residual(_array_core(form, energies, root_choice), n)
+
+
+def _array_core(form, energies, root_choice):
+    """``_residual_core`` at every energy of an array, each part broadcast
+    to its shape; NaN where a discriminant is negative."""
     with np.errstate(all="ignore"):
-        f = _termination_residual(form.coeff_at(energies), n, root_choice,
-                                  _sqrt_or_nan, _array_quotient)
-    f = np.array(np.broadcast_to(f, energies.shape), dtype=float)
+        core = _residual_core(form.coeff_at(energies), root_choice,
+                              _sqrt_or_nan, _array_quotient)
+    return tuple(np.broadcast_to(part, energies.shape) for part in core)
+
+
+def _array_residual(core, n):
+    """Level n's residual on an array core, with NaN for infinities."""
+    with np.errstate(all="ignore"):
+        f = np.asarray(_level_residual(core, n), dtype=float)
     f[np.isinf(f)] = np.nan
     return f
 
@@ -419,9 +442,9 @@ def _beside(stretch, low, high, tol):
     return low + 0.5 * left if left >= right else stretch[1] + 0.5 * right
 
 
-def _scan(form, n, root_choice, lo, hi, scan_points):
+def _scan_energies(lo, hi, scan_points):
     """The scan points from lo to hi, both included, evenly spaced in
-    sqrt(hi - E), and the residual at all of them in one numpy call.
+    sqrt(hi - E).
 
     The points crowd toward hi as the decay exponent sqrt(slope (hi - E))
     does: near hi the energy term anchored there, slope (hi - E), is exact
@@ -432,7 +455,77 @@ def _scan(form, n, root_choice, lo, hi, scan_points):
     u = 1.0 - np.arange(scan_points) / (scan_points - 1)
     energies = hi - (hi - lo) * (u * u)
     energies[0] = lo
+    return energies
+
+
+def _scan(form, n, root_choice, lo, hi, scan_points):
+    """The scan points of [lo, hi] and level n's residual at all of them in
+    one numpy call: a fresh scan, for the windows a level searches after
+    the window's own scan (:func:`window_scan`) found no bracket."""
+    energies = _scan_energies(lo, hi, scan_points)
     return energies, quantization_residuals(form, n, energies, root_choice)
+
+
+@dataclass(frozen=True)
+class WindowScan:
+    """The scan points of an energy window and the part of the residual
+    that does not depend on n at each of them (``core``: r3, alpha, beta
+    or gamma2), so that a spectrum evaluates it once for all its levels."""
+
+    energies: np.ndarray
+    core: tuple[np.ndarray, ...]
+
+
+def window_scan(form: EnergyDependentForm, root_choice: RootChoice = RootChoice(),
+                scan_points: int = DEFAULT_SCAN_POINTS) -> WindowScan:
+    """The window's scan: ``scan_points`` energies from the bottom of the
+    energy window to its top (to lo + max(1, |lo|) for a window unbounded
+    above), evenly spaced in the decay exponent, with the residual's core
+    at all of them in one numpy evaluation."""
+    lo, hi = form.energy_window
+    top = hi if math.isfinite(hi) else lo + max(1.0, abs(lo))
+    energies = _scan_energies(lo, top, scan_points)
+    return WindowScan(energies, _array_core(form, energies, root_choice))
+
+
+def _level_scan(form, n, root_choice, floor, window):
+    """Level n's first scan: its floor, then the window's scan points above
+    the floor, and the residual at each.  The floor takes the place of the
+    last window point at or below it and one scalar residual call; every
+    point above it only adds the level's term to the window's core, so each
+    value is bit-equal to the scalar residual.  The points below the floor
+    keep their places with a NaN residual, which no bracket spans, so every
+    level's arrays have the window's length: numpy keeps freed buffers of
+    under 1 KiB for reuse by exact size, and arrays of a different short
+    length for each level kept about 85 KB more of the heap in use."""
+    i = int(np.searchsorted(window.energies, floor, side="right")) - 1
+    energies = window.energies.copy()
+    energies[i] = floor
+    f = _array_residual(window.core, n)
+    f[:i] = np.nan
+    f[i] = _residual_or_nan(form, n, floor, root_choice)
+    return energies, f
+
+
+def _level_scans(form, n, root_choice, lo, hi, scan_points, window):
+    """Level n's scans from its floor lo, in order, until one brackets a
+    root: the window's scan above lo, then fresh scans.  A window unbounded
+    above is scanned from lo over a span that starts at max(1, |lo|) and
+    doubles; a finite one over [lo, hi], and again over its top cell while
+    the residual is not finite at hi (the inverse power families, where
+    c2 - 2 p10 = 0 there)."""
+    yield _level_scan(form, n, root_choice, lo, window)
+    span = max(1.0, abs(lo))
+    for _ in range(64):
+        top = hi if math.isfinite(hi) else lo + span
+        energies, f = _scan(form, n, root_choice, lo, top, scan_points)
+        yield energies, f
+        if math.isinf(hi):
+            span *= 2.0
+        elif math.isnan(f[-1]) and lo < energies[-2] < hi:
+            lo = float(energies[-2])  # the top cell
+        else:
+            return
 
 
 def _first_bracket(energies, f):
@@ -462,22 +555,28 @@ def _root_in(form, n, root_choice, bracket) -> float:
 def solve_energy(form: EnergyDependentForm, n: int,
                  root_choice: RootChoice = RootChoice(),
                  scan_points: int = DEFAULT_SCAN_POINTS,
-                 above: float | None = None) -> float:
+                 above: float | None = None,
+                 scan: WindowScan | None = None) -> float:
     """Find the bound-state energy of level n as a root of the residual.
 
-    Evaluates the residual at ``scan_points`` energies of the closed window,
-    evenly spaced in the decay exponent sqrt(hi - E), in one numpy call
-    (``quantization_residuals``), takes the first sign change between
-    neighbours where both are finite (or an exact zero), then refines it by
+    The level's floor is the bottom of the window or, when given, ``above``,
+    which restricts the search to energies strictly above a previous level
+    and so enforces the E_0 < E_1 < ... ordering when multiple residual
+    roots exist.  The first scan is the floor (one scalar residual call)
+    and then the window's ``scan_points`` energies above it, evenly spaced
+    in the decay exponent sqrt(hi - E); there the residual adds only the
+    n term to the core of ``scan``, the :func:`window_scan` of this form
+    and root choice, which a caller that solves many levels builds once.
+    Without ``scan`` the same window scan is built here, so the level is
+    bit-identical either way.  The first sign change between neighbours
+    where both residuals are finite (or an exact zero) is refined by
     Brent's method with scalar ``quantization_residual`` calls, about three
     per level, to machine-relative bracket width.  A root must lie strictly
     below the window's top: a level at the asymptote is not bound.
-    ``above`` restricts the search to energies strictly above a previous
-    level, which enforces the E_0 < E_1 < ... ordering when multiple
-    residual roots exist.  Without a bracket the window is adjusted and
-    scanned again: a window unbounded above (confining potentials) doubles
-    its span, and a residual that is not finite at the top (the inverse
-    power families, where c2 - 2 p10 = 0 there) has its top cell scanned.
+    Without a bracket the level scans afresh from its floor: a window
+    unbounded above (confining potentials) doubles its span, and a residual
+    that is not finite at the top (the inverse power families, where
+    c2 - 2 p10 = 0 there) has its top cell scanned.
 
     Raises NoBoundState when no sign change exists in the window,
     WindowDegenerate when the window is empty, and ValueError for n < 0 or
@@ -492,20 +591,13 @@ def solve_energy(form: EnergyDependentForm, n: int,
         lo = max(lo, above)
     if not lo < hi:
         raise WindowDegenerate(f"empty energy window ({lo}, {hi})")
-    span = max(1.0, abs(lo))
-    for _ in range(64):
-        top = hi if math.isfinite(hi) else lo + span
-        energies, f = _scan(form, n, root_choice, lo, top, scan_points)
+    if scan is None:
+        scan = window_scan(form, root_choice, scan_points)
+    for energies, f in _level_scans(form, n, root_choice, lo, hi, scan_points, scan):
         bracket = _first_bracket(energies, f)
         if bracket is not None:
             root = _root_in(form, n, root_choice, bracket)
             if root < hi:
                 return root
-            break
-        if math.isinf(hi):
-            span *= 2.0
-        elif math.isnan(f[-1]) and lo < energies[-2] < hi:
-            lo = float(energies[-2])  # the top cell
-        else:
             break
     raise NoBoundState(f"no residual root found for n = {n} below {hi}")

@@ -8,7 +8,9 @@ P_(m-2) (DLMF 18.9.1), with the division of each degree folded into three
 scalars; both kernels update their two running arrays in place, so a degree
 costs five array operations and no allocation.  The explicit finite sums
 are retained as independent test oracles; they grow factorially and are
-capped at n = 20.
+capped at n = 20.  The Jacobi sum (DLMF 18.5.8) also evaluates the
+parameters where a recurrence step divides by zero (alpha + beta a
+negative integer).
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
 
     Accepts scalar or ndarray z.  Any real alpha, beta are permitted for
     evaluation; the orthogonality-weight properties additionally need
-    alpha, beta > -1.
+    alpha, beta > -1.  Where a step of the recurrence divides by zero
+    (alpha + beta = -m or 2 - 2m for an integer 2 <= m <= n), P_n is the
+    finite sum of DLMF 18.5.8 instead.
     """
     _check_degree(n)
     z = np.asarray(z, dtype=float)
@@ -49,6 +53,8 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
     for m in range(2, n + 1):
         c = 2 * m + alpha + beta
         a1 = 2 * m * (m + alpha + beta) * (c - 2)
+        if a1 == 0.0:
+            return _jacobi_sum(n, alpha, beta, z)
         # P_m = (A z + B) P_(m-1) - C P_(m-2) into the spare buffer; the
         # buffer of P_(m-2) is the next spare
         np.multiply(z, (c - 1) * c * (c - 2) / a1, out=spare)
@@ -58,6 +64,17 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
         spare -= p_prev
         p_prev, p_cur, spare = p_cur, spare, p_prev
     return p_cur if p_cur.ndim else float(p_cur)
+
+
+def _jacobi_sum(n, alpha, beta, z):
+    """P_n^(alpha, beta)(z) = sum_l C(n + alpha, n - l) C(n + beta, l)
+    ((z - 1)/2)^l ((z + 1)/2)^(n - l) (DLMF 18.5.8), on a scalar or an
+    array; its terms grow factorially with n."""
+    zm, zp = (z - 1.0) / 2.0, (z + 1.0) / 2.0
+    total = np.zeros_like(z, dtype=float)
+    for m in range(n + 1):
+        total += binomial(n + alpha, n - m) * binomial(n + beta, m) * zm**m * zp ** (n - m)
+    return total if total.ndim else float(total)
 
 
 def laguerre_eval(n: int, k: float, z):
@@ -101,12 +118,7 @@ def jacobi_sum_oracle(n: int, alpha: float, beta: float, z: float) -> float:
     Capped at n <= 20 because the terms grow factorially.
     """
     _check_degree(n, MAX_SUM_DEGREE)
-    zm = (z - 1.0) / 2.0
-    zp = (z + 1.0) / 2.0
-    total = 0.0
-    for m in range(n + 1):
-        total += binomial(n + alpha, n - m) * binomial(n + beta, m) * zm**m * zp ** (n - m)
-    return total
+    return _jacobi_sum(n, alpha, beta, z)
 
 
 def laguerre_sum_oracle(n: int, k: float, z: float) -> float:

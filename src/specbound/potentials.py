@@ -56,6 +56,7 @@ from .parametric import (
     solve_energy,
     solve_jacobi_constants,
     solve_laguerre_constants,
+    window_scan,
 )
 from .polynomials import jacobi_eval, laguerre_eval
 from .quadrature import RadialGrid
@@ -1066,6 +1067,9 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
              n_max: int = 0) -> list[BoundState]:
     """All bound states with n <= n_max, in strictly increasing energy.
 
+    The window's scan, with the n-independent core of the residual at each
+    of its points, is built once and read by every level's solve.
+
     Each Jacobi-branch state passes the r2 = 0, r1 + r3 = 0 consistency
     identities at its own energy; a level that fails them (in wells so deep
     that rounding alone leaves |r1 + r3| above CONSISTENCY_RAISE_TOL) raises
@@ -1090,11 +1094,12 @@ def spectrum(spec: PotentialSpec, l: int = 0, units: UnitsConfig = UnitsConfig()
     if isinstance(spec, _Well):
         _check_zero_point(spec, units, lo)
 
+    window = window_scan(form, rc)
     states: list[BoundState] = []
     floor_e = None
     for n in range(n_max + 1):
         try:
-            energy = solve_energy(form, n, rc, above=floor_e)
+            energy = solve_energy(form, n, rc, above=floor_e, scan=window)
         except (NoBoundState, WindowDegenerate):
             break
         pc = form.coeff_at(energy)

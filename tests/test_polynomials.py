@@ -209,11 +209,32 @@ def test_jacobi_array_matches_40_digit_reference(n, alpha, beta, start, width):
     # (in its unnormalized form too) reaches 1.2e-12 of max |P| at n = 14
     z = np.linspace(start, min(start + width, 1.5), 16)
     got = jacobi_eval(n, alpha, beta, z)
+    exact = _jacobi_40_digits(n, alpha, beta, z)
+    assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+
+def _jacobi_40_digits(n, alpha, beta, z):
+    """P_n^(alpha, beta) at each point of z from DLMF 18.5.7 at 40 digits."""
     with mpmath.workdps(40):
-        exact = np.array([float(mpmath.binomial(n + alpha, n) * mpmath.hyp2f1(
+        return np.array([float(mpmath.binomial(n + alpha, n) * mpmath.hyp2f1(
             -n, n + alpha + beta + 1, alpha + 1, (1 - mpmath.mpf(v)) / 2, zeroprec=400))
             for v in z])
+
+
+@pytest.mark.parametrize("n, alpha, beta", [
+    (3, 0.5, -2.5), (3, 0.5, -4.5), (5, 0.25, -3.25), (8, 1.5, -9.5),
+    (12, 0.75, -8.75), (12, 0.125, -22.125)])
+def test_jacobi_where_a_recurrence_step_divides_by_zero(n, alpha, beta):
+    # alpha + beta = -m or 2 - 2m for an integer 2 <= m <= n: the step to
+    # degree m divides by a1 = 2m (m + alpha + beta)(2m + alpha + beta - 2)
+    # = 0, so P_n comes from its finite sum (it raised ZeroDivisionError)
+    assert any((m + alpha + beta) * (2 * m + alpha + beta - 2) == 0.0 for m in range(2, n + 1))
+    z = np.linspace(-1.5, 1.5, 16)
+    exact = _jacobi_40_digits(n, alpha, beta, z)
+    got = jacobi_eval(n, alpha, beta, z)
     assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
+    for v, e in zip(z[::5], exact[::5]):
+        assert abs(jacobi_eval(n, alpha, beta, float(v)) - e) <= 1e-11 * np.max(np.abs(exact))
 
 
 def _laguerre_reference(n, k, z):

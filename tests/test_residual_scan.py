@@ -2,10 +2,12 @@
 definitions.
 
 ``quantization_residuals`` evaluates the termination residual at many
-energies in one numpy call, and ``solve_energy`` scans with it.  The scan
-must find the bracket the scalar loop below finds (the scan as it was
-before it was vectorized), so every energy stays bit-identical; only the
-refinement of the bracket still calls the scalar ``quantization_residual``.
+energies in one numpy call, and ``solve_energy`` scans with the same
+algebra: the window's n-independent core once, plus each level's n term.
+The scan must find the bracket the scalar loop below finds (the floor,
+then the window's points above it), so every energy stays bit-identical;
+only the floor and the refinement of the bracket call the scalar
+``quantization_residual``.
 """
 
 import math
@@ -84,11 +86,13 @@ def _scan_point(lo, hi, i, scan_points):
     return lo if i == 0 else hi - (hi - lo) * (u * u)
 
 
-def reference_scan(form, n, rc, lo, hi, scan_points):
-    """The scalar scan: sign-change brackets (a, b, fa, fb) in order."""
+def reference_scan(form, n, rc, lo, hi, scan_points, floor=None):
+    """The scalar scan: sign-change brackets (a, b, fa, fb) in order, over
+    the floor (lo when None) and then the scan points of [lo, hi] above it."""
+    floor = lo if floor is None else floor
+    points = [_scan_point(lo, hi, i, scan_points) for i in range(scan_points)]
     prev_e = prev_f = None
-    for i in range(scan_points):
-        e = _scan_point(lo, hi, i, scan_points)
+    for e in [floor] + [p for p in points if p > floor]:
         f = _scalar_or_nan(form, n, e, rc)
         if math.isnan(f):
             prev_e = prev_f = None
@@ -100,31 +104,43 @@ def reference_scan(form, n, rc, lo, hi, scan_points):
         prev_e, prev_f = e, f
 
 
-def reference_solve(form, n, rc, above=None):
-    """solve_energy with the scalar scan; returns (energy, scan windows).
-
+def _reference_windows(form, n, rc, above):
+    """The scans of level n in order, each (lo, top, floor): the window's
+    scan from the floor up, then fresh scans from the floor (floor None).
     A window unbounded above doubles its span; a residual that is not
     finite at a finite top has its top cell scanned next."""
     lo, hi = form.energy_window
-    if above is not None:
-        lo = max(lo, above)
-    windows = []
+    floor = lo if above is None else max(lo, above)
+    yield lo, (hi if math.isfinite(hi) else lo + max(1.0, abs(lo))), floor
+    lo = floor
     for k in range(64):
-        top = lo + max(1.0, abs(lo)) * 2.0**k if math.isinf(hi) else hi
-        windows.append((lo, top))
-        for a, b, fa, fb in reference_scan(form, n, rc, lo, top, SCAN_POINTS):
-            root = a if a == b else parametric._root_in(form, n, rc, (a, b, fa, fb))
-            return (root if root < hi else None), windows
+        yield lo, (lo + max(1.0, abs(lo)) * 2.0**k if math.isinf(hi) else hi), None
         if math.isfinite(hi):
             below_top = _scan_point(lo, hi, SCAN_POINTS - 2, SCAN_POINTS)
             if not (math.isnan(_scalar_or_nan(form, n, hi, rc)) and lo < below_top < hi):
-                break
+                return
             lo = below_top
+
+
+def reference_solve(form, n, rc, above=None):
+    """solve_energy with the scalar scan; returns (energy, scans)."""
+    hi = form.energy_window[1]
+    windows = []
+    for lo, top, floor in _reference_windows(form, n, rc, above):
+        windows.append((lo, top, floor))
+        for a, b, fa, fb in reference_scan(form, n, rc, lo, top, SCAN_POINTS, floor):
+            root = a if a == b else parametric._root_in(form, n, rc, (a, b, fa, fb))
+            return (root if root < hi else None), windows
     return None, windows
 
 
-def _first_bracket(form, n, rc, lo, hi, scan_points=SCAN_POINTS):
-    return parametric._first_bracket(*parametric._scan(form, n, rc, lo, hi, scan_points))
+def _first_bracket(form, n, rc, lo, hi, scan_points=SCAN_POINTS, floor=None):
+    if floor is None:
+        return parametric._first_bracket(*parametric._scan(form, n, rc, lo, hi, scan_points))
+    # the window's own scan, read from the floor up
+    window = parametric.window_scan(form, rc, scan_points)
+    assert (window.energies[0], window.energies[-1]) == (lo, hi)
+    return parametric._first_bracket(*parametric._level_scan(form, n, rc, floor, window))
 
 
 def _assert_bit_equal(x, y):
@@ -134,9 +150,9 @@ def _assert_bit_equal(x, y):
 
 def _check_against_reference(form, n, rc, above=None):
     expected, windows = reference_solve(form, n, rc, above)
-    for lo, hi in windows:
-        ref = next(reference_scan(form, n, rc, lo, hi, SCAN_POINTS), None)
-        assert _first_bracket(form, n, rc, lo, hi) == ref
+    for lo, hi, floor in windows:
+        ref = next(reference_scan(form, n, rc, lo, hi, SCAN_POINTS, floor), None)
+        assert _first_bracket(form, n, rc, lo, hi, floor=floor) == ref
         if ref is not None:
             break
     if expected is None:
@@ -395,6 +411,63 @@ def test_array_residual_maps_infinities_to_nan():
     values = quantization_residuals(form, 0, np.array([-0.005, -0.5]))
     assert math.isnan(values[0])
     _assert_bit_equal(float(values[1]), quantization_residual(form, 0, -0.5))
+
+
+# --------------------------------------------------------------------------
+# one window scan per spectrum
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, n_max", [
+    (PoschlTeller(V0=600.0, a=1.0, eta=1.0), 31),
+    (GeneralizedMorse(V1=100.0, V2=240.0, a=1.0), 15),
+], ids=["poschl_teller", "morse"])
+def test_spectrum_builds_the_array_core_once(spec, n_max, monkeypatch):
+    # every level reads the one window scan: the core of the residual (r3,
+    # alpha, beta) is evaluated at the window's points once per spectrum
+    builds = []
+    array_core = parametric._array_core
+
+    def counted(form, energies, root_choice):
+        builds.append(energies.size)
+        return array_core(form, energies, root_choice)
+
+    monkeypatch.setattr(parametric, "_array_core", counted)
+    states = spectrum(spec, 0, UNITS, n_max)
+    assert [s.n for s in states] == list(range(n_max + 1))
+    assert builds == [SCAN_POINTS]
+    # solve_energy alone builds the same scan, and returns the same level
+    form, _ = to_parametric(spec, 0, UNITS)
+    builds.clear()
+    floor = math.nextafter(states[-2].energy, math.inf)
+    _assert_bit_equal(solve_energy(form, n_max, spec.root_choice(), above=floor),
+                      states[-1].energy)
+    assert builds == [SCAN_POINTS]
+
+
+def test_the_floor_splits_its_window_cell():
+    # the floor lies inside a cell of the window's scan: level n's first
+    # cell runs from the floor to the next window point, so a root there is
+    # found, and a root of the residual below the floor, in the same cell,
+    # is never returned (the window point below the floor is not scanned)
+    lo, hi, points, n = -1.0, 1.0, 8, 2
+    below, above = _scan_point(lo, hi, 3, points), _scan_point(lo, hi, 4, points)
+    floor, root, early = (below + t * (above - below) for t in (0.5, 0.8, 0.2))
+    later = _scan_point(lo, hi, 6, points) + 0.3 * (hi - _scan_point(lo, hi, 6, points))
+
+    def level(residual):
+        # gamma2 - n = residual(E)
+        form = _gamma2_form(lambda e: residual(e) + n, (lo, hi))
+        return form, solve_energy(form, n, above=floor, scan_points=points)
+
+    form, energy = level(lambda e: e - root)
+    window = parametric.window_scan(form, RootChoice(), points)
+    bracket = parametric._first_bracket(
+        *parametric._level_scan(form, n, RootChoice(), floor, window))
+    assert bracket[:2] == (floor, above)
+    assert energy == pytest.approx(root, abs=1e-15)
+    with pytest.raises(NoBoundState):
+        level(lambda e: e - early)
+    assert level(lambda e: (e - early) * (e - later))[1] == pytest.approx(later, abs=1e-15)
 
 
 # --------------------------------------------------------------------------
