@@ -305,7 +305,9 @@ def quantization_residuals(form: EnergyDependentForm, n: int, energies: np.ndarr
     if n < 0:
         raise ValueError("quantum number n must be nonnegative")
     energies = np.asarray(energies, dtype=float)
-    return _array_residual(_array_core(form, energies, root_choice), n)
+    f = np.asarray(_array_residual(_array_core(form, energies, root_choice), n), dtype=float)
+    f[np.isinf(f)] = np.nan
+    return f
 
 
 def _array_core(form, energies, root_choice):
@@ -318,11 +320,10 @@ def _array_core(form, energies, root_choice):
 
 
 def _array_residual(core, n):
-    """Level n's residual on an array core, with NaN for infinities."""
+    """Level n's residual on an array core; an infinity where the scalar
+    residual is one."""
     with np.errstate(all="ignore"):
-        f = np.asarray(_level_residual(core, n), dtype=float)
-    f[np.isinf(f)] = np.nan
-    return f
+        return _level_residual(core, n)
 
 
 def compact_jacobi_residual(form: EnergyDependentForm, n: int, energy: float,
@@ -493,11 +494,14 @@ def _level_scan(form, n, root_choice, floor, window):
     the floor, and the residual at each.  The floor takes the place of the
     last window point at or below it and one scalar residual call; every
     point above it only adds the level's term to the window's core, so each
-    value is bit-equal to the scalar residual.  The points below the floor
-    keep their places with a NaN residual, which no bracket spans, so every
-    level's arrays have the window's length: numpy keeps freed buffers of
-    under 1 KiB for reuse by exact size, and arrays of a different short
-    length for each level kept about 85 KB more of the heap in use."""
+    finite value is bit-equal to the scalar residual.  A value there may be
+    an infinity, where the scalar residual is one too; :func:`_first_bracket`
+    spans no point whose residual is not finite, so no pass maps it to NaN.
+    The points below the floor keep their places with a NaN residual, so
+    every level's arrays have the window's length: numpy keeps freed
+    buffers of under 1 KiB for reuse by exact size, and arrays of a
+    different short length for each level kept about 85 KB more of the
+    heap in use."""
     i = int(np.searchsorted(window.energies, floor, side="right")) - 1
     energies = window.energies.copy()
     energies[i] = floor
@@ -509,12 +513,16 @@ def _level_scan(form, n, root_choice, floor, window):
 
 def _level_scans(form, n, root_choice, lo, hi, scan_points, window):
     """Level n's scans from its floor lo, in order, until one brackets a
-    root: the window's scan above lo, then fresh scans.  A window unbounded
-    above is scanned from lo over a span that starts at max(1, |lo|) and
-    doubles; a finite one over [lo, hi], and again over its top cell while
-    the residual is not finite at hi (the inverse power families, where
+    root: the window's scan above lo, then fresh scans.  A floor at or above
+    the window scan's last point (a confining window, whose scan ends at
+    lo + max(1, |lo|)) skips the window's scan, which would hold the floor
+    alone, and starts with the fresh scans.  A window unbounded above is
+    scanned from lo over a span that starts at max(1, |lo|) and doubles; a
+    finite one over [lo, hi], and again over its top cell while the
+    residual is not finite at hi (the inverse power families, where
     c2 - 2 p10 = 0 there)."""
-    yield _level_scan(form, n, root_choice, lo, window)
+    if lo < window.energies[-1]:
+        yield _level_scan(form, n, root_choice, lo, window)
     span = max(1.0, abs(lo))
     for _ in range(64):
         top = hi if math.isfinite(hi) else lo + span
@@ -530,9 +538,11 @@ def _level_scans(form, n, root_choice, lo, hi, scan_points, window):
 
 def _first_bracket(energies, f):
     """First sign-change bracket (a, b, fa, fb) between neighbouring scan
-    points, or None.  A NaN residual breaks the chain of neighbours, so no
-    bracket spans it; an exact zero at e gives (e, e, 0, 0)."""
-    valid = ~np.isnan(f)
+    points, or None.  A residual that is not finite (NaN or an infinity)
+    breaks the chain of neighbours, so no bracket spans it; one
+    ``np.isfinite`` pass finds them all.  An exact zero at e gives
+    (e, e, 0, 0)."""
+    valid = np.isfinite(f)
     negative = f < 0.0
     event = f == 0.0
     event[1:] |= valid[1:] & valid[:-1] & (negative[1:] != negative[:-1])

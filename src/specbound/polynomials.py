@@ -6,7 +6,8 @@ within or near the orthogonality interval; Gautschi, SIAM Rev. 9, 1967).
 Jacobi runs in the normalized form P_m = (A_m z + B_m) P_(m-1) - C_m
 P_(m-2) (DLMF 18.9.1), with the division of each degree folded into three
 scalars; both kernels update their two running arrays in place, so a degree
-costs five array operations and no allocation.  The explicit finite sums
+costs five array operations and no allocation, and a Jacobi degree with
+alpha^2 = beta^2, where B_m is 0, costs four.  The explicit finite sums
 are retained as independent test oracles; they grow factorially and are
 capped at n = 20.  The Jacobi sum (DLMF 18.5.8) also evaluates the
 parameters where a recurrence step divides by zero (alpha + beta a
@@ -35,9 +36,11 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
 
     Accepts scalar or ndarray z.  Any real alpha, beta are permitted for
     evaluation; the orthogonality-weight properties additionally need
-    alpha, beta > -1.  Where a step of the recurrence divides by zero
-    (alpha + beta = -m or 2 - 2m for an integer 2 <= m <= n), P_n is the
-    finite sum of DLMF 18.5.8 instead.
+    alpha, beta > -1.  alpha^2 - beta^2 is formed once; where it is 0
+    (every Poschl-Teller level has alpha = beta) the B_m term of each step
+    is 0 and its pass over the array is skipped.  Where a step of the
+    recurrence divides by zero (alpha + beta = -m or 2 - 2m for an integer
+    2 <= m <= n), P_n is the finite sum of DLMF 18.5.8 instead.
     """
     _check_degree(n)
     z = np.asarray(z, dtype=float)
@@ -50,6 +53,8 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
     p_cur *= (alpha + beta + 2) / 2
     p_cur += alpha + 1
     spare = np.empty_like(z)
+    # B_m is a multiple of alpha^2 - beta^2: zero for every symmetric pair
+    asymmetry = alpha**2 - beta**2
     for m in range(2, n + 1):
         c = 2 * m + alpha + beta
         a1 = 2 * m * (m + alpha + beta) * (c - 2)
@@ -58,7 +63,8 @@ def jacobi_eval(n: int, alpha: float, beta: float, z):
         # P_m = (A z + B) P_(m-1) - C P_(m-2) into the spare buffer; the
         # buffer of P_(m-2) is the next spare
         np.multiply(z, (c - 1) * c * (c - 2) / a1, out=spare)
-        spare += (c - 1) * (alpha**2 - beta**2) / a1
+        if asymmetry != 0.0:
+            spare += (c - 1) * asymmetry / a1
         spare *= p_cur
         p_prev *= 2 * (m + alpha - 1) * (m + beta - 1) * c / a1
         spare -= p_prev

@@ -960,6 +960,11 @@ def _unnormalized_psi(pc: ParametricCoefficients,
     q (log s - log s*) on the Jacobi branch, without the q term at q = 0
     (s* = 0).  So no 0 * inf arises at large s, and the tails hold where s
     or 1 + c3 s underflows.
+
+    Where t <= -700 psi is below 1e-304 of its peak and is set to 0 without
+    a polynomial value.  When every sample is live, psi is exp(t) times the
+    polynomial at once, with no gather of the live samples and no scatter
+    into a zeroed array; each value is the same either way.
     """
     s = np.asarray(cmap.s_of_x(x), dtype=float)
     log_s, log_base = cmap.logs_of_x(x)
@@ -976,8 +981,10 @@ def _unnormalized_psi(pc: ParametricCoefficients,
         y = 1.0 + 2.0 * pc.c3 * s
     if q != 0.0:
         t = t + q * (log_s - math.log(s_star))
-    out = np.zeros_like(s)
     live = t > -700.0
+    if live.all():
+        return np.exp(t) * poly(y)
+    out = np.zeros_like(s)
     out[live] = np.exp(t[live]) * np.asarray(poly(y[live]))
     return out
 
@@ -1033,11 +1040,15 @@ def wavefunction(state: BoundState, x):
     (1 + c3 s)^(-p) s^q P_n^(alpha, beta)(1 + 2 c3 s); both at s = s(x),
     divided by the peak of the prefactor and scaled by the stored norm
     constant.
+
+    Raises OutOfDomain for x outside the map's domain; only a finite bound
+    is tested (x >= 0 on the radial maps; the 1-D maps take every x).
     """
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = state.cmap.x_domain
-    if np.any(x_arr < lo) or np.any(x_arr > hi):
+    if ((math.isfinite(lo) and np.any(x_arr < lo))
+            or (math.isfinite(hi) and np.any(x_arr > hi))):
         raise OutOfDomain(f"coordinate outside domain [{lo}, {hi}]")
     psi = state.norm_constant * _unnormalized_psi(state.coefficients, state.constants,
                                                   state.n, x_arr, state.cmap)

@@ -260,6 +260,41 @@ def test_laguerre_values_are_those_of_the_plain_recurrence_bit_for_bit():
                 assert laguerre_eval(n, k, float(z[i])) == float(expect[i])
 
 
+def _jacobi_with_every_term(n, alpha, beta, z):
+    # the normalized recurrence with its B_m term added at every degree,
+    # zero or not, operation for operation as the kernel does the rest
+    z = np.asarray(z, dtype=float)
+    p_prev = np.ones_like(z)
+    if n == 0:
+        return p_prev
+    p_cur = (z - 1.0) * ((alpha + beta + 2) / 2) + (alpha + 1)
+    for m in range(2, n + 1):
+        c = 2 * m + alpha + beta
+        a1 = 2 * m * (m + alpha + beta) * (c - 2)
+        spare = z * ((c - 1) * c * (c - 2) / a1)
+        spare = spare + (c - 1) * (alpha**2 - beta**2) / a1
+        spare = spare * p_cur
+        p_prev = p_prev * (2 * (m + alpha - 1) * (m + beta - 1) * c / a1)
+        p_prev, p_cur = p_cur, spare - p_prev
+    return p_cur
+
+
+def test_symmetric_jacobi_skips_only_a_zero_term():
+    # alpha = beta makes every B_m 0, and the kernel skips adding it: the
+    # values are those of the recurrence that adds it, for arrays and 0-d z
+    z = np.concatenate([np.linspace(-1.5, 1.5, 257), [-1.0, -0.0, 0.0, 1.0]])
+    for n in (0, 1, 2, 3, 8, 31, 60):
+        for a in (-0.5, 0.0, 0.5, 1.0, 12.25, 47.0):
+            expect = _jacobi_with_every_term(n, a, a, z)
+            assert np.array_equal(jacobi_eval(n, a, a, z), expect)
+            for i in (0, 77, 128, 200, 258):
+                value = jacobi_eval(n, a, a, float(z[i]))
+                assert isinstance(value, float) and value == float(expect[i])
+                assert jacobi_eval(n, a, a, np.array(z[i])) == value
+    # an asymmetric pair keeps the term, with the same values
+    assert np.array_equal(jacobi_eval(9, 2.5, -0.25, z), _jacobi_with_every_term(9, 2.5, -0.25, z))
+
+
 def test_kernels_leave_their_argument_alone():
     z = np.linspace(-1.5, 1.5, 33)
     kept = z.copy()

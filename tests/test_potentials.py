@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from specbound import (
     closed_form_energy,
     count_nodes,
     default_grid,
+    jacobi_eval,
+    laguerre_eval,
     make_potential,
     potential_value,
     simpson_integrate,
@@ -34,6 +37,8 @@ from specbound import (
     to_parametric,
     wavefunction,
 )
+from specbound import potentials
+from specbound.parametric import LaguerreBranchConstants
 
 UNITS = UnitsConfig()
 
@@ -310,6 +315,78 @@ def test_wavefunction_out_of_domain():
     st = spectrum(Coulomb(e2=1.0), 0, UNITS, n_max=0)[0]
     with pytest.raises(OutOfDomain):
         wavefunction(st, -1.0)
+
+
+@pytest.mark.parametrize("spec", [Coulomb(e2=1.0), Pseudoharmonic(2.0, 1.0),
+                                  KratzerFues(10.0, 1.0)], ids=lambda s: s.family)
+def test_radial_wavefunction_refuses_negative_x(spec):
+    st = spectrum(spec, 1, UNITS, n_max=1)[1]
+    with pytest.raises(OutOfDomain):
+        wavefunction(st, np.array([0.0, 1.0, -1e-300, 2.0]))
+    with pytest.raises(OutOfDomain):
+        wavefunction(st, -math.inf)
+    # the domain's edge itself, and a point far out, are sampled
+    assert np.all(np.isfinite(wavefunction(st, np.array([0.0, 1e3]))))
+
+
+def _masked_wavefunction(state, x):
+    """psi with every sample masked: zeros, and exp(t) times the polynomial
+    gathered at the samples with t > -700 and scattered back, as psi was
+    formed before samples that are all live took a direct product; also
+    the mask."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pc, constants, cmap, n = state.coefficients, state.constants, state.cmap, state.n
+    s = np.asarray(cmap.s_of_x(x), dtype=float)
+    log_s, log_base = cmap.logs_of_x(x)
+    s_star, _ = potentials._prefactor_peak(pc, constants)
+    if isinstance(constants, LaguerreBranchConstants):
+        q, p = constants.q10, constants.p10
+        t = -p * (s - s_star)
+        poly = partial(laguerre_eval, n, constants.k)
+        y = (2 * p - pc.c2) * s
+    else:
+        q, p = constants.q0, constants.p0
+        t = -p * (log_base - math.log1p(pc.c3 * s_star))
+        poly = partial(jacobi_eval, n, constants.alpha, constants.beta)
+        y = 1.0 + 2.0 * pc.c3 * s
+    if q != 0.0:
+        t = t + q * (log_s - math.log(s_star))
+    out = np.zeros_like(s)
+    live = t > -700.0
+    out[live] = np.exp(t[live]) * np.asarray(poly(y[live]))
+    return state.norm_constant * out, live
+
+
+# the deep wells of the benchmark's spectrum rounds, and Coulomb, with the
+# number of their levels that have samples where t <= -700: Morse's on the
+# far left of its grid, where s = sqrt(V1) e^(-ax) is huge, and Coulomb's
+# low levels far out in their tails
+_SAMPLED = [
+    (PoschlTeller(V0=600.0, a=1.0, eta=1.0), 31, 0),
+    (PoschlTeller(V0=30.0, a=1.0, eta=2.0), 6, 0),
+    (WoodsSaxon(V1=5.0, V2=200.0, a=1.0), 13, 0),
+    (DeformedRosenMorse(V1=10.0, V2=400.0, a=1.0, eta=1.0), 9, 0),
+    (GeneralizedMorse(V1=100.0, V2=240.0, a=1.0), 15, 16),
+    (Coulomb(e2=1.0), 40, 14),
+]
+
+
+@pytest.mark.parametrize("spec, n_max, dead_levels", _SAMPLED,
+                         ids=lambda v: getattr(v, "family", ""))
+def test_wavefunction_is_the_masked_formula(spec, n_max, dead_levels):
+    grid = default_grid(spec, 0, UNITS, n_max=n_max)
+    u = np.linspace(0.0, 1.0, 2000)
+    x = grid.x_min + (grid.x_max - grid.x_min) * (u * u if spec.radial else u)
+    states = spectrum(spec, 0, UNITS, n_max=n_max)
+    assert len(states) == n_max + 1
+    dead = 0
+    for st in states:
+        expect, live = _masked_wavefunction(st, x)
+        dead += not live.all()
+        assert np.array_equal(wavefunction(st, x), expect)
+        for i in (0, 1, 700, 1500, 1999):
+            assert wavefunction(st, float(x[i])) == float(expect[i])
+    assert dead == dead_levels
 
 
 def test_node_counts_match_level_index():

@@ -444,6 +444,61 @@ def test_spectrum_builds_the_array_core_once(spec, n_max, monkeypatch):
     assert builds == [SCAN_POINTS]
 
 
+def test_confining_window_skips_the_scan_below_its_floor(monkeypatch):
+    # the window of Pseudoharmonic(2, 1) is (0, inf) and its scan covers
+    # [0, 1], below every level (the lowest is 2.12): only n = 0, whose
+    # floor is 0, reads it, and every other level starts with a fresh scan
+    # instead of a scan that holds its floor alone, so it makes no scalar
+    # call for that floor (35 calls became 20).  The array cores are the
+    # window's and one per fresh scan, 20 in all
+    spec, n_max = Pseudoharmonic(V0=2.0, r0=1.0), 15
+    builds, floors, scalar = [], [], []
+    array_core, level_scan = parametric._array_core, parametric._level_scan
+    residual = parametric.quantization_residual
+
+    def counted_core(form, energies, root_choice):
+        builds.append(energies.size)
+        return array_core(form, energies, root_choice)
+
+    def counted_scan(form, n, root_choice, floor, window):
+        floors.append((n, floor))
+        return level_scan(form, n, root_choice, floor, window)
+
+    def counted_residual(*args):
+        scalar.append(args[1])
+        return residual(*args)
+
+    monkeypatch.setattr(parametric, "_array_core", counted_core)
+    monkeypatch.setattr(parametric, "_level_scan", counted_scan)
+    monkeypatch.setattr(parametric, "quantization_residual", counted_residual)
+    states = spectrum(spec, 0, UNITS, n_max)
+    assert [s.n for s in states] == list(range(n_max + 1))
+    for state in states:
+        assert state.energy == pytest.approx(closed_form_energy(spec, 0, UNITS, state.n),
+                                             rel=CLOSED_FORM_RTOL, abs=0.0)
+    assert floors == [(0, 0.0)]
+    assert builds == [SCAN_POINTS] * 20
+    assert len(scalar) == 20
+
+
+@pytest.mark.parametrize("f", [
+    [2.0, math.inf, 1.0, -1.0, -math.inf, 3.0],
+    [1.0, -math.inf, 2.0, -3.0],
+    [-math.inf, math.inf, -1.0, 0.5, math.inf],
+    [math.inf, -math.inf, math.inf],
+], ids=["beside", "false_change", "both_ends", "none"])
+def test_infinities_break_the_scan_as_nan_does(f):
+    # a residual that is not finite spans no bracket, whether it is NaN
+    # or an infinity of either sign beside a sign change
+    f = np.array(f)
+    energies = np.linspace(-1.0, 0.0, f.size)
+    as_nan = f.copy()
+    as_nan[np.isinf(f)] = np.nan
+    expect = parametric._first_bracket(energies, as_nan)
+    assert parametric._first_bracket(energies, f) == expect
+    assert (expect is None) == (f.size == 3)
+
+
 def test_the_floor_splits_its_window_cell():
     # the floor lies inside a cell of the window's scan: level n's first
     # cell runs from the floor to the next window point, so a root there is
