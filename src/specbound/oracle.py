@@ -43,7 +43,8 @@ movement between the two resolutions doubles as the grid-adequacy check:
 when it exceeds 1e-4 the grid is declared too coarse.  The h solve starts
 from the eigenvalues of the same V_eff on an 8x coarser grid, solved only
 to converged Laguerre estimates, and the h/2 solve from the h eigenvalues;
-each matrix's own Sturm counts confirm or overrule every seed.
+each matrix's own Sturm counts confirm or overrule every seed.  V_eff is
+evaluated once on the h/2 grid, whose odd interior points are the h grid.
 """
 
 from __future__ import annotations
@@ -270,22 +271,36 @@ def _pivots(rows, edges, d: float):
 
 def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float) -> int:
     """One count-only sweep: the number of negative pivots of T - lam =
-    L(edges) + diag(pot - lam).
+    L(edges) + diag(pot - lam) (:func:`_count`)."""
+    with np.errstate(all="ignore"):
+        return _count(pot, edges, lam, _levels(pot.size))
+
+
+def _count(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int) -> int:
+    """:func:`_sturm` with the matrix's reduction levels (:func:`_levels`),
+    under the caller's ``np.errstate``.
 
     The matrix is odd/even reduced (:func:`_reduce`) and the pivot
     recursion runs on the complement, from row 0's excess w_0 + e_0; its
     last pivot is the last excess plus the last (ghost) edge, which the
     reduction carries when it eliminates the last row.
     """
-    with np.errstate(all="ignore"):
-        w, e = _reduce(pot - lam, edges, _levels(pot.size))
+    w, e = _reduce(pot - lam, edges, levels)
     count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + float(e[0]))
     return count + (d + float(e[-1]) < 0)
 
 
 def _laguerre_sweep(pot: np.ndarray, edges: np.ndarray, lam: float):
     """The count of :func:`_sturm` plus g = sum 1/(lam - e_j) and h = sum
-    1/(lam - e_j)^2 over all eigenvalues e_j of T, in the same sweep.
+    1/(lam - e_j)^2 over all eigenvalues e_j of T, in the same sweep
+    (:func:`_laguerre`)."""
+    with np.errstate(all="ignore"):
+        return _laguerre(pot, edges, lam, _levels(pot.size))
+
+
+def _laguerre(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int):
+    """:func:`_laguerre_sweep` with the matrix's reduction levels, under the
+    caller's ``np.errstate``.
 
     g and -h are the first two lam-derivatives of log|det(T - lam)|.  The
     odd/even reduction splits that into sum log p over the eliminated
@@ -294,8 +309,7 @@ def _laguerre_sweep(pot: np.ndarray, edges: np.ndarray, lam: float):
     (:func:`_reduce_jets`), and :func:`_laguerre_pivots` runs the pivot
     recursion on the complement.  The Laguerre degree stays the order of T.
     """
-    with np.errstate(all="ignore"):
-        jets, g, h = _reduce_jets(pot - lam, edges, _levels(pot.size))
+    jets, g, h = _reduce_jets(pot - lam, edges, levels)
     count, g_s, h_s = _laguerre_pivots(*jets)
     return count, g + g_s, h + h_s
 
@@ -492,8 +506,10 @@ def _laguerre_step(g: float, h: float, n: int, side: int) -> float:
     return (disc + toward) / denom if denom > 0 else math.inf
 
 
-def _width_tol(*ends: float) -> float:
-    return max(BISECT_TOL, 4 * math.ulp(max(abs(v) for v in ends)))
+def _width_tol(a: float, b: float = 0.0) -> float:
+    """The final bracket width at a level near a and b: BISECT_TOL, or 4
+    ulp of the larger magnitude where that is wider."""
+    return max(BISECT_TOL, 4 * math.ulp(max(abs(a), abs(b))))
 
 
 def _half_width(est: float) -> float:
@@ -530,10 +546,15 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     width (dist (dist / gap)^2, gap being the distance to the nearest other
     seed or solved level), count-only probes either side of the estimate
     (:func:`_half_width`), widened after each miss, certify the final
-    bracket.  Every sweep runs on the odd/even reduction
-    of the matrix (:func:`_sturm`, :func:`_laguerre_sweep`).  Without
+    bracket.  Every sweep runs on the odd/even reduction of the matrix
+    (:func:`_count`, :func:`_laguerre`); the reduction levels and the
+    ``np.errstate`` of the sweeps are set up once per matrix.  Without
     ``certify`` a level stops at its converged Laguerre estimate instead,
-    which is all a seed for a finer matrix needs.
+    which is all a seed for a finer matrix needs; a level there with no
+    other seed or solved level (level 0 of a solve without seeds) takes the
+    gap its isolating bracket proves, hi - z, or the smaller of hi - z and
+    z - lo above level 0.  A certified level without neighbours keeps gap 0
+    and steps on, so that its value stays where its counts put it.
 
     ``seeds`` holds optional starting points, one per level.  A seed is used
     only when it lies inside its level's bracket, and its sweep's count
@@ -542,6 +563,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     """
     n = pot.size
     count = min(count, n)
+    levels = _levels(n)
     # L(edges) lies between 0 and twice the diagonal of its edge weights
     bottom = float(pot.min())
     top = float(pot.max()) + 4.0 * float(edges.max())
@@ -552,72 +574,81 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     out: list[float] = []
     # the lower end potential, where a well's bound levels end
     end = min(float(pot[0]), float(pot[-1]))
-    for k in range(count):
-        seed = seeds[k] if k < len(seeds) else None
-        if seed is not None and lo[k] < seed < hi[k]:
-            x, kind = seed, "laguerre"
-        elif k == 0 and len(seeds) == 0 and bottom < end < top:
-            x, kind = end, "bisect"
-        else:
-            x, kind = 0.5 * lo[k] + 0.5 * hi[k], "bisect"
-        neighbours = out + [v for j, v in enumerate(seeds)
-                            if j != k and math.isfinite(v)]
-        est = spread = 0.0
-        # the last two step lengths: a Laguerre step must be shorter than
-        # half the one before last, or bisection takes over
-        steps = [hi[k] - lo[k]] * 2
-        last_side = 0
-        for _ in range(300):
-            if hi[k] - lo[k] <= _width_tol(lo[k], hi[k]):
-                break
-            if kind == "laguerre":
-                c, g, h = _laguerre_sweep(pot, edges, x)
+    with np.errstate(all="ignore"):
+        for k in range(count):
+            seed = seeds[k] if k < len(seeds) else None
+            if seed is not None and lo[k] < seed < hi[k]:
+                x, kind = seed, "laguerre"
+            elif k == 0 and len(seeds) == 0 and bottom < end < top:
+                x, kind = end, "bisect"
             else:
-                c = _sturm(pot, edges, x)
-            sweeps += 1
-            for j in range(min(c, count)):
-                if x < hi[j]:
-                    hi[j], chi[j] = x, c
-            for j in range(c, count):
-                if x > lo[j]:
-                    lo[j], clo[j] = x, c
-            if kind == "probe":
-                if (x < est) == (c > k):  # the level lies beyond this probe
-                    est, spread = x, 2 * spread
-            elif kind == "laguerre" and c in (k, k + 1):
-                side = 1 if c == k else -1
-                dist = _laguerre_step(g, h, n, side)
-                z = x + side * dist
-                if math.isfinite(dist) and (side == -last_side or dist < _width_tol(z)):
-                    # a step across the level, or one below the final
-                    # bracket: z is as good as the derivatives get
-                    kind = "probe"
-                    est = min(max(z, lo[k]), hi[k])
-                    spread = _half_width(est)
-                elif lo[k] < z < hi[k] and dist < 0.5 * steps[0]:
-                    steps = [steps[1], dist]
-                    x, last_side = z, side
-                    gap = min((abs(z - v) for v in neighbours), default=0.0)
-                    if dist * dist * dist >= 0.5 * _width_tol(z) * gap * gap:
-                        continue
-                    # the step converged: certify z without another sweep
-                    kind = "probe"
-                    est, spread = z, _half_width(z)
-            if kind == "probe" and not certify:
-                break
-            if kind == "probe" and lo[k] < est - spread:
-                x = est - spread
-            elif kind == "probe" and est + spread < hi[k]:
-                x = est + spread
-            else:
-                x = 0.5 * lo[k] + 0.5 * hi[k]
-                steps = [steps[1], 0.5 * (hi[k] - lo[k])]
-                last_side = 0
-                if kind != "probe":
-                    isolated = clo[k] == k and chi[k] == k + 1
-                    kind = "laguerre" if isolated else "bisect"
-        mid = 0.5 * lo[k] + 0.5 * hi[k]
-        out.append(est if kind == "probe" and not certify else mid)
+                x, kind = 0.5 * lo[k] + 0.5 * hi[k], "bisect"
+            neighbours = out + [v for j, v in enumerate(seeds)
+                                if j != k and math.isfinite(v)]
+            est = spread = 0.0
+            # the last two step lengths: a Laguerre step must be shorter
+            # than half the one before last, or bisection takes over
+            before_last = last = hi[k] - lo[k]
+            last_side = 0
+            for _ in range(300):
+                a, b = lo[k], hi[k]
+                if b - a <= _width_tol(a, b):
+                    break
+                if kind == "laguerre":
+                    c, g, h = _laguerre(pot, edges, x, levels)
+                else:
+                    c = _count(pot, edges, x, levels)
+                sweeps += 1
+                for j in range(min(c, count)):
+                    if x < hi[j]:
+                        hi[j], chi[j] = x, c
+                for j in range(c, count):
+                    if x > lo[j]:
+                        lo[j], clo[j] = x, c
+                if kind == "probe":
+                    if (x < est) == (c > k):  # the level lies beyond this probe
+                        est, spread = x, 2 * spread
+                elif kind == "laguerre" and (c == k or c == k + 1):
+                    side = 1 if c == k else -1
+                    dist = _laguerre_step(g, h, n, side)
+                    z = x + side * dist
+                    tol = _width_tol(z)
+                    if math.isfinite(dist) and (side == -last_side or dist < tol):
+                        # a step across the level, or one below the final
+                        # bracket: z is as good as the derivatives get
+                        kind = "probe"
+                        est = min(max(z, lo[k]), hi[k])
+                        spread = _half_width(est)
+                    elif lo[k] < z < hi[k] and dist < 0.5 * before_last:
+                        before_last, last = last, dist
+                        x, last_side = z, side
+                        if neighbours:
+                            gap = min(abs(z - v) for v in neighbours)
+                        elif not certify and clo[k] == k and chi[k] == k + 1:
+                            # the isolated bracket holds no other level
+                            gap = hi[k] - z if k == 0 else min(hi[k] - z, z - lo[k])
+                        else:
+                            gap = 0.0
+                        if dist * dist * dist >= 0.5 * tol * gap * gap:
+                            continue
+                        # the step converged: certify z without another sweep
+                        kind = "probe"
+                        est, spread = z, _half_width(z)
+                if kind == "probe" and not certify:
+                    break
+                if kind == "probe" and lo[k] < est - spread:
+                    x = est - spread
+                elif kind == "probe" and est + spread < hi[k]:
+                    x = est + spread
+                else:
+                    x = 0.5 * lo[k] + 0.5 * hi[k]
+                    before_last, last = last, 0.5 * (hi[k] - lo[k])
+                    last_side = 0
+                    if kind != "probe":
+                        isolated = clo[k] == k and chi[k] == k + 1
+                        kind = "laguerre" if isolated else "bisect"
+            mid = 0.5 * lo[k] + 0.5 * hi[k]
+            out.append(est if kind == "probe" and not certify else mid)
     return out, sweeps
 
 
@@ -627,9 +658,13 @@ def _operator(v_eff, x_min: float, x_max: float, intervals: int,
     Dirichlet three-point operator on ``intervals`` uniform intervals, which
     is L(t) + diag(potential) with ghost edges t at both ends."""
     x = np.linspace(x_min, x_max, intervals + 1)
+    return x, _hopping(x_min, x_max, intervals, units), np.array(v_eff(x[1:-1]), dtype=float)
+
+
+def _hopping(x_min: float, x_max: float, intervals: int, units: pot.UnitsConfig) -> float:
+    """The hopping t = hbar^2 / (2 m h^2) of ``intervals`` uniform intervals."""
     h = (x_max - x_min) / intervals
-    t = units.hbar**2 / (2 * units.mass * h * h)
-    return x, t, np.array(v_eff(x[1:-1]), dtype=float)
+    return units.hbar**2 / (2 * units.mass * h * h)
 
 
 def _check_intervals(intervals: int) -> None:
@@ -682,23 +717,30 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     the h eigenvalues, which sit within the Richardson movement of their
     h/2 counterparts.  Each matrix's own Sturm counts confirm or overrule
     every seed, so seeds change the sweeps spent, not the values.
+    ``v_eff`` is called on two arrays, the seed grid and the h/2 grid: the
+    h matrix reads the h/2 potential's odd interior points, which are the
+    h grid's interior points (``np.linspace`` gives both grids the same
+    values there).  Without ``refine`` it is called on the h grid instead.
 
     Raises GridTooLarge, before building any matrix, when the grid has more
     than MAX_INTERVALS intervals.
     """
     intervals = grid.n_points - 1
     _check_intervals(intervals)
+    x_min, x_max = grid.x_min, grid.x_max
     seeds, seed_sweeps = (), 0
     if intervals // SEED_COARSENING >= SEED_MIN_INTERVALS:
-        seeds, seed_sweeps = _solve(v_eff, grid.x_min, grid.x_max,
-                                    intervals // SEED_COARSENING, units, count,
-                                    certify=False)
-    base, sweeps = _solve(v_eff, grid.x_min, grid.x_max, intervals, units,
-                          count, seeds)
+        seeds, seed_sweeps = _solve(v_eff, x_min, x_max, intervals // SEED_COARSENING,
+                                    units, count, certify=False)
     if not refine:
+        base, sweeps = _solve(v_eff, x_min, x_max, intervals, units, count, seeds)
         return _FDResult(np.asarray(base), 0.0, (sweeps, 0), seed_sweeps)
-    fine, fine_sweeps = _solve(v_eff, grid.x_min, grid.x_max, 2 * intervals,
-                               units, count, base)
+    _, t_half, pot_half = _operator(v_eff, x_min, x_max, 2 * intervals, units)
+    pot_h = pot_half[1::2]
+    t = _hopping(x_min, x_max, intervals, units)
+    base, sweeps = _lowest_eigenvalues(pot_h, _edges(t, pot_h.size), count, seeds)
+    fine, fine_sweeps = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size),
+                                            count, base)
     base = np.asarray(base)
     fine = np.asarray(fine)
     rich = (4.0 * fine - base) / 3.0

@@ -520,10 +520,14 @@ def _level_scans(form, n, root_choice, lo, hi, scan_points, window):
     scanned from lo over a span that starts at max(1, |lo|) and doubles; a
     finite one over [lo, hi], and again over its top cell while the
     residual is not finite at hi (the inverse power families, where
-    c2 - 2 p10 = 0 there)."""
+    c2 - 2 p10 = 0 there).  A floor at the bottom of a window unbounded
+    above starts with the doubled span: the window's scan covered the
+    first."""
+    span = max(1.0, abs(lo))
     if lo < window.energies[-1]:
         yield _level_scan(form, n, root_choice, lo, window)
-    span = max(1.0, abs(lo))
+        if math.isinf(hi) and lo == window.energies[0]:
+            span *= 2.0
     for _ in range(64):
         top = hi if math.isfinite(hi) else lo + span
         energies, f = _scan(form, n, root_choice, lo, top, scan_points)

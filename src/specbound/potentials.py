@@ -30,7 +30,7 @@ norm integral over r^2 dr; one-dimensional families use measure 1.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Union
 
@@ -79,6 +79,10 @@ WALL_FRACTION = 1e4
 #: a sampling window ends where psi^2 times the measure has fallen below
 #: this fraction of its value at the classical turning point
 WINDOW_TAIL = 1e-16
+#: doublings of an edge search's outward walk tested per call of its test
+WALK_BATCH = 8
+#: points an edge search tests per call while it locates the transition
+ZOOM_POINTS = 255
 
 
 def _require_finite(spec) -> None:
@@ -184,7 +188,7 @@ class _Family:
             form = EnergyDependentForm(*self._coefficients(l, units),
                                        self.energy_window(l, units))
             values = [v for e in form.energy_window if e != math.inf
-                      for v in (e, *astuple(form.coeff_at(e))) if v is not None]
+                      for v in (e, *form.coeff_at(e).__dict__.values()) if v is not None]
         except OverflowError:
             values = [math.inf]
         if not all(math.isfinite(4.0 * v) for v in values):
@@ -737,7 +741,7 @@ class BoundState:
 
 def _check_radial_coordinate(r):
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if (r <= 0).any():
         raise OutOfDomain("radial coordinate must be strictly positive")
     return r
 
@@ -755,23 +759,70 @@ def _validate_l(spec: PotentialSpec, l: int) -> None:
 
 def _expand_to_edge(past_edge, start: float, step: float, direction: int) -> float:
     """Walk outward from `start` in `direction`, doubling the step, until
-    past_edge(x) holds, then bisect back to the transition point."""
-    d = step
-    x_prev = start
-    for _ in range(200):
-        x = start + direction * d
-        if past_edge(x):
-            lo, hi = x_prev, x
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if past_edge(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        x_prev = x
-        d *= 2.0
-    raise InvalidParameters("could not locate an edge: the walk never got past it")
+    past_edge(x) holds, then bisect back to the transition point: 200
+    doublings at most, then 60 bisection steps between the last point short
+    of the edge (lo) and the first past it (hi), each testing 0.5 * (lo +
+    hi); the result is the bisection's hi.
+
+    ``past_edge`` takes an array of points.  The walk tests WALK_BATCH
+    doublings per call.  The bisection is not run point by point:
+    :func:`_first_past` locates the transition, the steps are predicted from
+    it, and one call tests every predicted point.  The steps stand up to the
+    first that was not predicted, which goes the other way, and the rest are
+    predicted again inside the bracket left; a wrong prediction costs calls,
+    never the result.  Points past the edge may overflow; their warnings
+    are not raised."""
+    with np.errstate(all="ignore"):
+        lo = start
+        for first in range(0, 200, WALK_BATCH):
+            x = start + direction * np.ldexp(step, np.arange(first, first + WALK_BATCH))
+            past = np.flatnonzero(past_edge(x))
+            if past.size:
+                i = past[0]
+                lo, hi = (x.item(i - 1) if i else lo), x.item(i)
+                break
+            lo = x.item(-1)
+        else:
+            raise InvalidParameters("could not locate an edge: the walk never got past it")
+        steps = 60
+        while steps:
+            guess = _first_past(past_edge, lo, hi)
+            mids, predicted, ends = [], [], []
+            a, b = lo, hi
+            for _ in range(steps):
+                mid = 0.5 * (a + b)
+                beyond = (mid - guess) * direction >= 0
+                a, b = (a, mid) if beyond else (mid, b)
+                mids.append(mid)
+                predicted.append(beyond)
+                ends.append((a, b))
+            tested = past_edge(np.array(mids))
+            wrong = np.flatnonzero(tested != predicted)
+            if not wrong.size:
+                return b
+            j = wrong[0]
+            lo, hi = ends[j - 1] if j else (lo, hi)
+            lo, hi = (lo, mids[j]) if tested[j] else (mids[j], hi)
+            steps -= j + 1
+    return hi
+
+
+def _first_past(past_edge, a: float, b: float) -> float:
+    """The first point past the edge, by k-sections from a, short of it,
+    toward b, past it: each call of ``past_edge`` tests ZOOM_POINTS points
+    evenly spaced across the bracket, which shrinks to the first pair that
+    goes from short of the edge to past it, until a and b are adjacent
+    floats, or until the bracket stops shrinking (an end at infinity)."""
+    even = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+    while math.nextafter(a, b) != b:
+        x = a + (b - a) * even
+        past = np.flatnonzero(past_edge(x))
+        i = past[0] if past.size else ZOOM_POINTS
+        bracket = (x.item(i - 1) if i else a, x.item(i) if i < ZOOM_POINTS else b)
+        if bracket == (a, b):
+            break
+        a, b = bracket
+    return b
 
 
 def _climb(spec, l: int, units: UnitsConfig, level: float, direction: int) -> float:
@@ -965,22 +1016,29 @@ def _unnormalized_psi(pc: ParametricCoefficients,
     a polynomial value.  When every sample is live, psi is exp(t) times the
     polynomial at once, with no gather of the live samples and no scatter
     into a zeroed array; each value is the same either way.
+
+    Far out on the Laguerre branch s overflows (the pseudoharmonic r^2 past
+    r = 1.3e154, the Morse e^(-ax) below x = -709/a) or is infinite (x =
+    inf on the radial maps, x = -inf for Morse), and t = -inf + q inf is
+    NaN; either way the sample is dead and psi is 0 there, without a
+    warning.
     """
-    s = np.asarray(cmap.s_of_x(x), dtype=float)
-    log_s, log_base = cmap.logs_of_x(x)
-    s_star, _ = _prefactor_peak(pc, constants)
-    if isinstance(constants, LaguerreBranchConstants):
-        q, p = constants.q10, constants.p10
-        t = -p * (s - s_star)
-        poly = partial(laguerre_eval, n, constants.k)
-        y = (2 * p - pc.c2) * s
-    else:
-        q, p = constants.q0, constants.p0
-        t = -p * (log_base - math.log1p(pc.c3 * s_star))
-        poly = partial(jacobi_eval, n, constants.alpha, constants.beta)
-        y = 1.0 + 2.0 * pc.c3 * s
-    if q != 0.0:
-        t = t + q * (log_s - math.log(s_star))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.asarray(cmap.s_of_x(x), dtype=float)
+        log_s, log_base = cmap.logs_of_x(x)
+        s_star, _ = _prefactor_peak(pc, constants)
+        if isinstance(constants, LaguerreBranchConstants):
+            q, p = constants.q10, constants.p10
+            t = -p * (s - s_star)
+            poly = partial(laguerre_eval, n, constants.k)
+            y = (2 * p - pc.c2) * s
+        else:
+            q, p = constants.q0, constants.p0
+            t = -p * (log_base - math.log1p(pc.c3 * s_star))
+            poly = partial(jacobi_eval, n, constants.alpha, constants.beta)
+            y = 1.0 + 2.0 * pc.c3 * s
+        if q != 0.0:
+            t = t + q * (log_s - math.log(s_star))
     live = t > -700.0
     if live.all():
         return np.exp(t) * poly(y)
@@ -1047,8 +1105,8 @@ def wavefunction(state: BoundState, x):
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = state.cmap.x_domain
-    if ((math.isfinite(lo) and np.any(x_arr < lo))
-            or (math.isfinite(hi) and np.any(x_arr > hi))):
+    if ((math.isfinite(lo) and (x_arr < lo).any())
+            or (math.isfinite(hi) and (x_arr > hi).any())):
         raise OutOfDomain(f"coordinate outside domain [{lo}, {hi}]")
     psi = state.norm_constant * _unnormalized_psi(state.coefficients, state.constants,
                                                   state.n, x_arr, state.cmap)

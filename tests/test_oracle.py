@@ -272,6 +272,80 @@ def test_seed_solve_stops_at_converged_estimates():
     assert np.allclose(estimates, certified, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("spec, budget", [
+    (Coulomb(e2=1.0), 12), (GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), 4),
+    (Mie(V0=5.0, a=1.0), 6),
+], ids=lambda v: getattr(v, "family", ""))
+def test_unseeded_ground_level_takes_its_converged_step(spec, budget):
+    # level 0 of a solve without seeds has no other level to measure its
+    # gap to; the bracket that isolates it proves its gap to level 1 is at
+    # least hi - z, so the converged-step exit can fire (one Laguerre sweep
+    # more, 13, 5 and 7, when the gap was taken as 0)
+    def v_eff(x):
+        return effective_potential(spec, 0, UNITS, x)
+
+    grid = default_grid(spec, 0, UNITS, n_max=2)
+    intervals = (grid.n_points - 1) // oracle.SEED_COARSENING
+    _, t, pot = oracle._operator(v_eff, grid.x_min, grid.x_max, intervals, UNITS)
+    edges = _edges(t, pot.size)
+    (estimate,), sweeps = _lowest_eigenvalues(pot, edges, 1, certify=False)
+    assert sweeps <= budget
+    assert estimate == pytest.approx(_lowest_eigenvalues(pot, edges, 1)[0][0],
+                                     rel=0.0, abs=1e-10)
+
+
+def test_fd_eigenvalues_evaluates_the_potential_on_two_arrays(monkeypatch):
+    # the seed grid, and the h/2 grid, whose odd interior points are the h
+    # grid's interior points bit for bit; the values are those of solving
+    # each grid on its own potential array
+    spec = Coulomb(e2=1.0)
+    grid = default_grid(spec, 0, UNITS, n_max=2)
+    intervals = grid.n_points - 1
+    evaluated = []
+    v_eff = potentials.effective_potential
+
+    def recorded(*args):
+        evaluated.append(np.array(args[3]))
+        return v_eff(*args)
+
+    monkeypatch.setattr(potentials, "effective_potential", recorded)
+    solved = fd_eigenvalues(spec, 0, UNITS, grid=grid, count=3)
+    assert [x.size for x in evaluated] == [intervals // oracle.SEED_COARSENING - 1,
+                                           2 * intervals - 1]
+    h_points = np.linspace(grid.x_min, grid.x_max, intervals + 1)[1:-1]
+    assert np.array_equal(evaluated[1][1::2], h_points)
+
+    def solve(n, seeds=(), certify=True):
+        return oracle._solve(lambda x: v_eff(spec, 0, UNITS, x), grid.x_min, grid.x_max,
+                             n, UNITS, 3, seeds, certify)
+
+    seeds, _ = solve(intervals // oracle.SEED_COARSENING, certify=False)
+    base, _ = solve(intervals, seeds)
+    fine, _ = solve(2 * intervals, base)
+    rich = (4.0 * np.asarray(fine) - np.asarray(base)) / 3.0
+    assert solved.eigenvalues == tuple(rich.tolist())
+
+
+@pytest.mark.parametrize("spec, l, units", [
+    (Coulomb(e2=1.0), 0, UNITS), (Coulomb(e2=1.0), 1, UNITS),
+    (Coulomb(e2=1.0), 0, UnitsConfig(hbar=2.0)), (Mie(V0=5.0, a=1.0), 2, UNITS),
+    (KratzerFues(De=10.0, re=1.0), 0, UnitsConfig(mass=0.5)),
+    (Pseudoharmonic(V0=2.0, r0=1.0), 1, UNITS),
+    (GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), 0, UnitsConfig(mass=4.0)),
+    (DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0), 0, UNITS),
+    (WoodsSaxon(V1=5.0, V2=10.0, a=1.0), 0, UNITS),
+    (PoschlTeller(V0=10.0, a=1.0, eta=1.0), 0, UnitsConfig(hbar=0.5)),
+], ids=lambda v: getattr(v, "family", ""))
+def test_h_grid_is_the_odd_interior_of_the_half_grid(spec, l, units):
+    # np.linspace forms point j of N intervals as j (span / N) + x_min and
+    # point 2j of 2N intervals as 2j (span / 2N) + x_min: the same product
+    grid = oracle._effective_grid(spec, default_grid(spec, l, units, n_max=2))
+    intervals = grid.n_points - 1
+    half = np.linspace(grid.x_min, grid.x_max, 2 * intervals + 1)[1:-1]
+    assert np.array_equal(half[1::2], np.linspace(grid.x_min, grid.x_max,
+                                                  intervals + 1)[1:-1])
+
+
 def _excess_loads(pot, edges, lam):
     """The unreduced pivot recursion in excess form over every row of
     L(edges) + diag(pot - lam): for each pivot p = b + delta, with b the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,7 @@ from specbound import (
     to_parametric,
     wavefunction,
 )
+from specbound.potentials import sampling_window
 from specbound import potentials
 from specbound.parametric import LaguerreBranchConstants
 
@@ -424,3 +426,144 @@ def test_morse_wavefunction_overflow_guard():
     vals = wavefunction(st, np.array([-200.0, -50.0, 30.0]))
     assert np.all(np.isfinite(vals))
     assert abs(vals[0]) == 0.0
+
+
+@pytest.mark.parametrize("spec, l, inside, far", [
+    (Coulomb(e2=1.0), 1, 5.0, [math.inf]),
+    (Mie(V0=5.0, a=1.0), 0, 1.0, [math.inf]),
+    (KratzerFues(10.0, 1.0), 2, 1.0, [math.inf]),
+    (NoncentralRadial(alpha=-1.0, lam=1.0), 0, 5.0, [math.inf]),
+    (Pseudoharmonic(2.0, 1.0), 1, 1.0, [1e200, math.inf]),
+    (GeneralizedMorse(100.0, 20.0, 1.0), 0, 2.0, [-math.inf, -1000.0]),
+], ids=lambda v: getattr(v, "family", ""))
+def test_far_tail_samples_are_zero_without_warnings(spec, l, inside, far):
+    # s = inf (x = inf on the radial maps, x = -inf for Morse) made
+    # t = -p s + q log s NaN, and s overflows at finite x for the
+    # pseudoharmonic r^2 and the Morse e^(-ax): psi is 0 there, with
+    # warnings raised as errors
+    st = spectrum(spec, l, UNITS, n_max=1)[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = wavefunction(st, np.array([inside, *far]))
+        scalars = [wavefunction(st, v) for v in far]
+    assert psi[0] != 0.0
+    assert psi[1:].tolist() == scalars == [0.0] * len(far)
+
+
+# ------------------------------------------------------------- edge searches
+
+def _scalar_expand_to_edge(past_edge, start, step, direction):
+    """The edge search as one point per test: doublings of the step until
+    a point is past the edge, then 60 bisection steps; the reference that
+    ``potentials._expand_to_edge`` must reproduce bit for bit."""
+    d = step
+    x_prev = start
+    for _ in range(200):
+        x = start + direction * d
+        if past_edge(x):
+            lo, hi = x_prev, x
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if past_edge(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+        x_prev = x
+        d *= 2.0
+    raise InvalidParameters("could not locate an edge: the walk never got past it")
+
+
+def _checked_searches(monkeypatch):
+    """Patch the edge search to check every call against the scalar
+    reference; returns the list of (new, reference) edges."""
+    search, seen = potentials._expand_to_edge, []
+
+    def checked(past_edge, start, step, direction):
+        edge = search(past_edge, start, step, direction)
+        reference = _scalar_expand_to_edge(past_edge, start, step, direction)
+        seen.append((edge, reference))
+        return edge
+
+    monkeypatch.setattr(potentials, "_expand_to_edge", checked)
+    return seen
+
+
+# the `verify-catalog` rows of the benchmark: the nine desk wells at l = 0,
+# four radial wells at l = 1 and 2, and three rows in other units
+_DESK = [GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), Mie(V0=5.0, a=1.0),
+         KratzerFues(De=10.0, re=1.0), Coulomb(e2=1.0), Pseudoharmonic(V0=2.0, r0=1.0),
+         NoncentralRadial(alpha=-1.0, lam=0.0),
+         DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0),
+         WoodsSaxon(V1=5.0, V2=10.0, a=1.0), PoschlTeller(V0=10.0, a=1.0, eta=1.0)]
+_CATALOG = ([(spec, 0, UNITS) for spec in _DESK]
+            + [(spec, l, UNITS) for l in (1, 2) for spec in _DESK[1:5]]
+            + [(Coulomb(e2=1.0), 0, UnitsConfig(hbar=2.0)),
+               (KratzerFues(De=10.0, re=1.0), 0, UnitsConfig(mass=0.5)),
+               (PoschlTeller(V0=10.0, a=1.0, eta=1.0), 0, UnitsConfig(hbar=0.5)),
+               (Coulomb(e2=2.0), 0, UNITS),
+               (GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), 0, UnitsConfig(mass=4.0))])
+
+
+@pytest.mark.parametrize("spec, l, units", _CATALOG,
+                         ids=[f"{s.family}-l{l}-{u.hbar:g}-{u.mass:g}" for s, l, u in _CATALOG])
+def test_edge_search_is_the_scalar_bisection(spec, l, units, monkeypatch):
+    # every grid edge and every sampling window edge of the row, as the
+    # oracle and `wavefunction` ask for them
+    seen = _checked_searches(monkeypatch)
+    states = spectrum(spec, l, units, n_max=2)
+    default_grid(spec, l, units, n_max=len(states) - 1)
+    for st in states:
+        sampling_window(st)
+    assert [edge.hex() for edge, _ in seen] == [ref.hex() for _, ref in seen]
+    assert len(seen) >= len(states)
+
+
+@pytest.mark.parametrize("spec, l, units, n_max, intervals", [
+    (Coulomb(e2=1.0), 0, UnitsConfig(hbar=30.0), 2, 3644999),
+    (Coulomb(e2=0.0954), 2, UnitsConfig(hbar=9.47, mass=0.605), 3, 24075032),
+    (NoncentralRadial(alpha=-0.02, lam=0.0308), 0, UnitsConfig(hbar=6.33, mass=0.115), 3,
+     125443817),
+])
+def test_edge_search_keeps_the_row_cap_grids(spec, l, units, n_max, intervals, monkeypatch):
+    # the grids that decide the oracle's row cap: the largest that passes
+    # and the two that are refused
+    seen = _checked_searches(monkeypatch)
+    assert default_grid(spec, l, units, n_max=n_max).n_points - 1 == intervals
+    assert len(seen) == 1 and seen[0][0].hex() == seen[0][1].hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.sampled_from([-1, 1]),
+       st.floats(0.0, 50.0), st.floats(0.0, 1e-4), st.integers(1, 10**9),
+       st.floats(0.0, 1.0))
+def test_edge_search_is_the_scalar_bisection_on_ragged_edges(start, step, direction,
+                                                            distance, band, grain, share):
+    # an edge whose test flips back and forth in a band around it, as
+    # rounding makes a computed potential do: the steps the search predicts
+    # from the transition it finds go wrong there, and the result must
+    # still be the bisection's own
+    edge = start + direction * distance
+
+    def past_edge(x):
+        beyond = direction * (np.asarray(x, dtype=float) - edge)
+        ragged = (np.abs(beyond) < band) & ((np.asarray(x) * grain) % 1.0 < share)
+        return (beyond >= 0) ^ ragged
+
+    expected = _scalar_expand_to_edge(past_edge, start, step, direction)
+    assert potentials._expand_to_edge(past_edge, start, step, direction) == expected
+
+
+def test_edge_search_at_infinity_is_the_scalar_bisection():
+    # a walk whose first point past the edge is infinite: every midpoint
+    # of the bracket is infinite too, and the edge is inf
+    def past_edge(x):
+        return np.asarray(x) == math.inf
+
+    assert _scalar_expand_to_edge(past_edge, 0.0, 1e300, 1) == math.inf
+    assert potentials._expand_to_edge(past_edge, 0.0, 1e300, 1) == math.inf
+
+
+def test_edge_search_refuses_a_walk_that_never_gets_past():
+    with pytest.raises(InvalidParameters, match="never got past"):
+        potentials._expand_to_edge(lambda x: np.zeros(np.shape(x), dtype=bool), 0.0, 1.0, 1)

@@ -450,7 +450,9 @@ def test_confining_window_skips_the_scan_below_its_floor(monkeypatch):
     # floor is 0, reads it, and every other level starts with a fresh scan
     # instead of a scan that holds its floor alone, so it makes no scalar
     # call for that floor (35 calls became 20).  The array cores are the
-    # window's and one per fresh scan, 20 in all
+    # window's and one per fresh scan; n = 0 starts its fresh scans at
+    # [0, 2], since the window's scan was its [0, 1], so there are 19 in
+    # all (20 when n = 0 scanned [0, 1] twice)
     spec, n_max = Pseudoharmonic(V0=2.0, r0=1.0), 15
     builds, floors, scalar = [], [], []
     array_core, level_scan = parametric._array_core, parametric._level_scan
@@ -477,7 +479,7 @@ def test_confining_window_skips_the_scan_below_its_floor(monkeypatch):
         assert state.energy == pytest.approx(closed_form_energy(spec, 0, UNITS, state.n),
                                              rel=CLOSED_FORM_RTOL, abs=0.0)
     assert floors == [(0, 0.0)]
-    assert builds == [SCAN_POINTS] * 20
+    assert builds == [SCAN_POINTS] * 19
     assert len(scalar) == 20
 
 
