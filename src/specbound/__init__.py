@@ -40,7 +40,6 @@ from .parametric import (
     LaguerreBranchConstants,
     ParametricCoefficients,
     RootChoice,
-    compact_jacobi_residual,
     consistency_check,
     quantization_residual,
     quantization_residuals,
@@ -51,10 +50,7 @@ from .parametric import (
 from .polynomials import (
     binomial,
     jacobi_eval,
-    jacobi_sum_oracle,
     laguerre_eval,
-    laguerre_sum_oracle,
-    ode_residual_check,
 )
 from .potentials import (
     BoundState,

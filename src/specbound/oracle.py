@@ -9,17 +9,18 @@ recursion once a level is isolated (Li & Zeng, SIAM J. Sci. Comput. 15,
 solver dependencies, so this path shares nothing with the algebraic route
 it checks.
 
-Every matrix is kept as a path Laplacian plus a diagonal, T - lam = L(b) +
-diag(w): b are the edge weights |offdiag| and w_i = diag_i - b_(i-1) - b_i
-- lam.  The operator is built in this form directly, w = V_eff - lam with
-every edge t and a Dirichlet ghost edge t at either end, so no sweep ever
-adds 2t to a small number.  The pivot recursion runs on the excess of each
-pivot over its edge to the next row, delta_i = w_i + b_(i-1) delta_(i-1) /
-(b_(i-1) + delta_(i-1)), and a pivot is negative exactly when delta_i <
--b_i.  A count then resolves a level to about 1e-15 where storing 2t + V
-resolved it only to a few ulp of 4t (1e-12 to 1e-10), and the Laguerre
-estimate and the count transition agree, so the two probes either side of
-the estimate normally certify the level.
+Every matrix, the eigenvector's included, is kept as a path Laplacian plus
+a diagonal, T - lam = L(b) + diag(w): b are the edge weights |offdiag| and
+w_i = diag_i - b_(i-1) - b_i - lam.  The operator is built in this form
+directly, w = V_eff - lam with every edge t and a Dirichlet ghost edge t at
+either end, so no sweep ever adds 2t to a small number.  The pivot
+recursion runs on the excess of each pivot over its edge to the next row,
+delta_i = w_i + b_(i-1) delta_(i-1) / (b_(i-1) + delta_(i-1)), and a pivot
+is negative exactly when delta_i < -b_i.  A count then resolves a level to
+about 1e-15 where storing 2t + V resolved it only to a few ulp of 4t
+(1e-12 to 1e-10), and the Laguerre estimate and the count transition
+agree, so the two probes either side of the estimate normally certify the
+level.
 
 Each sweep first reduces T - lam by odd/even reduction in numpy, which in
 this form is Kron reduction (Dorfler & Bullo, IEEE TCAS-I 60, 2013):
@@ -124,7 +125,12 @@ class VerificationReport:
 
 def sturm_count(diag, offdiag, lam: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below lam, from the sign count of the Sturm pivot recursion."""
+    below lam, from the sign count of the Sturm pivot recursion.
+
+    Pivots are floored at PIVOT_FLOOR = 1e-300 in magnitude, so a matrix
+    whose pivots all fall below it (subnormal off-diagonals) may be
+    miscounted; no matrix built from a validated input is that small.
+    """
     pot, edges = _form(diag, offdiag)
     return _sturm(pot, edges, lam)
 
@@ -522,7 +528,9 @@ def _half_width(est: float) -> float:
 def lowest_eigenvalues(diag, offdiag, count: int) -> list[float]:
     """Lowest eigenvalues of a symmetric tridiagonal matrix, each certified
     by Sturm counts to a bracket no wider than max(BISECT_TOL, 4 ulp).
-    Matrix-level entry point; the grid solvers build on it."""
+    Matrix-level entry point; the grid solvers build on it.  Shares the
+    limit of :func:`sturm_count` on matrices with subnormal off-diagonals.
+    """
     return _lowest_eigenvalues(*_form(diag, offdiag), count)[0]
 
 
@@ -790,43 +798,38 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
                           seed_sweeps=solved.seed_sweeps)
 
 
-def _tridiag_solve(sub, diag, sup, rhs):
-    """Solve a tridiagonal system with partial pivoting (stable even when
-    the matrix is nearly singular, as in inverse iteration)."""
-    n = len(diag)
-    a = np.zeros(n)      # subdiagonal (of current elimination state)
-    b = np.array(diag, dtype=float)
-    c = np.zeros(n)      # superdiagonal
-    d = np.zeros(n)      # second superdiagonal fill-in from pivoting
-    a[1:] = sub
-    c[:-1] = sup
-    r = np.array(rhs, dtype=float)
-    for i in range(n - 1):
-        if abs(a[i + 1]) > abs(b[i]):
-            b[i], a[i + 1] = a[i + 1], b[i]
-            c[i], b[i + 1] = b[i + 1], c[i]
-            d[i], c[i + 1] = c[i + 1], d[i]
-            r[i], r[i + 1] = r[i + 1], r[i]
-        pivot = b[i] if b[i] != 0 else PIVOT_FLOOR
-        m = a[i + 1] / pivot
-        b[i + 1] -= m * c[i]
-        c[i + 1] -= m * d[i]
-        r[i + 1] -= m * r[i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        acc = r[i]
-        if i + 1 < n:
-            acc -= c[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= d[i] * x[i + 2]
-        x[i] = acc / (b[i] if b[i] != 0 else PIVOT_FLOOR)
-    return x
+def _excesses(w: list[float], b: float):
+    """The pivot recursion of :func:`_pivots` down the rows ``w`` of L(b) +
+    diag(w), every edge b and a ghost edge b above row 0, as two arrays:
+    each row's excess delta_i, and the ratio b / p_i of its edge to the next
+    row over its pivot p_i = b + delta_i, floored at PIVOT_FLOOR in
+    magnitude as in :func:`_pivots`."""
+    floor = PIVOT_FLOOR
+    deltas, ratios = [], []
+    load = b
+    for wi in w:
+        d = wi + load
+        p = b + d
+        if -floor < p < floor:
+            p = -floor if p < 0 else floor
+        q = b / p
+        load = d * q
+        deltas.append(d)
+        ratios.append(q)
+    return np.array(deltas), np.array(ratios)
 
 
 def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
                    index: int):
-    """Grid eigenfunction u(x) of the index-th bound level by inverse
-    iteration at the converged grid eigenvalue.
+    """Grid eigenfunction u(x) of the index-th level, from the twisted
+    factorization of T - lam = L(t) + diag(V_eff - lam) at its certified
+    eigenvalue lam (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Dhillon
+    & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004), with no iteration.
+
+    The excess recursion of the counts runs down the rows and up them
+    (:func:`_excesses`).  The row r where the twisted pivot delta+_r +
+    delta-_r - w_r is smallest in magnitude takes u_r = 1, and the rows
+    above and below it are running products of either pass's t / p.
 
     Returns (x, u) on the full grid (Dirichlet zeros included), normalized
     so the Simpson integral of u^2 is 1, with the first significant lobe
@@ -840,25 +843,15 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
 
     x, t, potential = _operator(v_eff, grid.x_min, grid.x_max, grid.n_points - 1, units)
     lam = _lowest_eigenvalues(potential, _edges(t, potential.size), index + 1)[0][index]
-    diag = 2.0 * t + potential
-
-    n = len(diag)
-    sub = np.full(n - 1, -t)
-    shifted = diag - lam
-    rng = np.random.default_rng(20240817)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(20):
-        w = _tridiag_solve(sub, shifted, sub, v)
-        w /= np.linalg.norm(w)
-        residual = np.linalg.norm((diag * w
-                                   + np.concatenate(([0.0], -t * w[:-1]))
-                                   + np.concatenate((-t * w[1:], [0.0]))) - lam * w)
-        v = w
-        if residual < 1e-9 * max(1.0, abs(lam)):
-            break
+    w = potential - lam
+    down, q_down = _excesses(w.tolist(), t)
+    up, q_up = _excesses(w[::-1].tolist(), t)
+    up, q_up = up[::-1], q_up[::-1]
+    r = int(np.argmin(np.abs(down + up - w)))
     u = np.zeros(len(x))
-    u[1:-1] = v
+    u[r + 1] = 1.0
+    u[1:r + 1] = np.cumprod(q_down[:r][::-1])[::-1]
+    u[r + 2:-1] = np.cumprod(q_up[r + 1:])
     u /= math.sqrt(simpson_integrate(u * u, grid.h))
     peak = np.argmax(np.abs(u))
     first_lobe = np.nonzero(np.abs(u) > 0.05 * abs(u[peak]))[0][0]

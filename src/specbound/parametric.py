@@ -12,8 +12,7 @@ bound levels.
 
 The Jacobi-branch residual is built from first principles, r3 - n(n +
 alpha + beta + 1) with r3, alpha, beta evaluated from the coefficient
-definitions, rather than from any consolidated single-line formula; the
-single-line form is kept only as a cross-check (``compact_jacobi_residual``).
+definitions, rather than from any consolidated single-line formula.
 """
 
 from __future__ import annotations
@@ -324,25 +323,6 @@ def _array_residual(core, n):
     residual is one."""
     with np.errstate(all="ignore"):
         return _level_residual(core, n)
-
-
-def compact_jacobi_residual(form: EnergyDependentForm, n: int, energy: float,
-                            root_choice: RootChoice = RootChoice()) -> float:
-    """Single-expression form of the Jacobi-branch termination condition,
-
-        (q0 - p0)^2 + (c2/c3 + 2n - 1)(q0 - p0) + n (n + c2/c3 - 1) - L1/c3^2,
-
-    kept as a cross-check against ``quantization_residual``.  Algebraically
-    it equals the negative of the first-principles residual, so the two
-    must agree in magnitude at every admissible energy.
-    """
-    pc = form.coeff_at(energy)
-    if pc.branch != JACOBI:
-        raise NotJacobiBranch("compact residual only exists on the c3 != 0 branch")
-    jc = solve_jacobi_constants(pc, root_choice)
-    ratio = pc.c2 / pc.c3
-    x = jc.q0 - jc.p0
-    return x * x + (ratio + 2 * n - 1) * x + n * (n + ratio - 1) - pc.lambda1 / pc.c3**2
 
 
 def consistency_check(jc: JacobiBranchConstants) -> ConsistencyReport:

@@ -7,11 +7,9 @@ Jacobi runs in the normalized form P_m = (A_m z + B_m) P_(m-1) - C_m
 P_(m-2) (DLMF 18.9.1), with the division of each degree folded into three
 scalars; both kernels update their two running arrays in place, so a degree
 costs five array operations and no allocation, and a Jacobi degree with
-alpha^2 = beta^2, where B_m is 0, costs four.  The explicit finite sums
-are retained as independent test oracles; they grow factorially and are
-capped at n = 20.  The Jacobi sum (DLMF 18.5.8) also evaluates the
-parameters where a recurrence step divides by zero (alpha + beta a
-negative integer).
+alpha^2 = beta^2, where B_m is 0, costs four.  The explicit Jacobi sum
+(DLMF 18.5.8) evaluates the parameters where a recurrence step divides by
+zero (alpha + beta a negative integer).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 from .errors import DegreeOverflow
 
 MAX_DEGREE = 1000
-MAX_SUM_DEGREE = 20
 
 
 def _check_degree(n: int, limit: int = MAX_DEGREE) -> None:
@@ -115,62 +112,3 @@ def binomial(x: float, j: int) -> float:
     for i in range(j):
         out *= (x - i) / (i + 1)
     return out
-
-
-def jacobi_sum_oracle(n: int, alpha: float, beta: float, z: float) -> float:
-    """Explicit-sum evaluation of P_n^(alpha, beta)(z), for testing.
-
-    P_n = sum_m C(n+alpha, n-m) C(n+beta, m) ((z-1)/2)^m ((z+1)/2)^(n-m).
-    Capped at n <= 20 because the terms grow factorially.
-    """
-    _check_degree(n, MAX_SUM_DEGREE)
-    return _jacobi_sum(n, alpha, beta, z)
-
-
-def laguerre_sum_oracle(n: int, k: float, z: float) -> float:
-    """Explicit-sum evaluation of L_n^k(z), for testing.
-
-    L_n^k = sum_m (-1)^m C(n+k, n-m) z^m / m!.
-    """
-    _check_degree(n, MAX_SUM_DEGREE)
-    total = 0.0
-    fact = 1.0
-    for m in range(n + 1):
-        if m > 0:
-            fact *= m
-        total += (-1) ** m * binomial(n + k, n - m) * z**m / fact
-    return total
-
-
-def ode_residual_check(kind: str, n: int, z: float, *, alpha: float = 0.0,
-                       beta: float = 0.0, k: float = 0.0, h: float = 1e-5) -> float:
-    """Apply the defining second-order operator to the recurrence-built
-    polynomial with central finite differences and return |residual|.
-
-    For ``kind="jacobi"`` the operator is
-        (1 - z^2) y'' + [beta - alpha - (alpha + beta + 2) z] y' + n(n + alpha + beta + 1) y
-    and for ``kind="laguerre"``
-        z y'' + (k + 1 - z) y' + n y.
-
-    The sign of the first-derivative coefficient is the one under which the
-    recurrence-built polynomials actually annihilate the operator; this
-    routine is the empirical arbiter for that convention.
-    """
-    if kind == "jacobi":
-        def f(t):
-            return jacobi_eval(n, alpha, beta, t)
-        y = f(z)
-        d1 = (f(z + h) - f(z - h)) / (2 * h)
-        d2 = (f(z + h) - 2 * y + f(z - h)) / h**2
-        res = (1 - z**2) * d2 + (beta - alpha - (alpha + beta + 2) * z) * d1 \
-            + n * (n + alpha + beta + 1) * y
-    elif kind == "laguerre":
-        def f(t):
-            return laguerre_eval(n, k, t)
-        y = f(z)
-        d1 = (f(z + h) - f(z - h)) / (2 * h)
-        d2 = (f(z + h) - 2 * y + f(z - h)) / h**2
-        res = z * d2 + (k + 1 - z) * d1 + n * y
-    else:
-        raise ValueError(f"unknown polynomial kind {kind!r}")
-    return abs(res)

@@ -51,11 +51,8 @@ from specbound import (
     fd_eigenvalues,
     fd_eigenvalues_from_callable,
     jacobi_eval,
-    jacobi_sum_oracle,
     laguerre_eval,
-    laguerre_sum_oracle,
     lowest_eigenvalues,
-    ode_residual_check,
     simpson_integrate,
     solve_energy,
     spectrum,
@@ -64,6 +61,7 @@ from specbound import (
 )
 from specbound.cli import main as cli_main
 from specbound.cli import RunConfig
+from support import jacobi_sum_oracle, laguerre_sum_oracle, ode_residual_check
 
 UNITS = UnitsConfig()
 

@@ -48,6 +48,7 @@ from specbound.oracle import (
     _lowest_eigenvalues,
     _sturm,
 )
+from support import CATALOG, CATALOG_IDS
 
 UNITS = UnitsConfig()
 
@@ -421,7 +422,10 @@ def test_sturm_count_with_infinite_diagonal_entries():
 def test_sturm_count_on_oracle_matrices(spec, grid, monkeypatch):
     pot, edges, _ = _oracle_matrix(spec, grid)
     levels = _lowest_eigenvalues(pot, edges, 2)[0]
-    lams = [levels[0] + d for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
+    # the ends of the certified bracket rather than its midpoint, where the
+    # reduced and the unreduced recursion may round to different counts
+    half = 0.5 * oracle._width_tol(levels[0])
+    lams = [levels[0] + d for d in (-half, half, 1e-12, -1e-12, 1e-6, -1e-6, 0.1)]
     lams += [float(v) for v in pot[:: pot.size // 7]]
     for lam in lams:
         assert _sturm(pot, edges, lam) == _full_sturm(pot, edges, lam), lam
@@ -1015,13 +1019,37 @@ def test_morse_analytic_state_matches_grid_eigenvector():
     assert np.max(np.abs(psi[window] - u[window])) < 1e-3
 
 
-def test_oracle_eigenvector_node_counts():
+@pytest.mark.parametrize("spec, l, units", CATALOG, ids=CATALOG_IDS)
+def test_oracle_eigenvector_node_counts(spec, l, units):
     # node theorem on the grid side: the index-th eigenvector has exactly
     # index interior sign changes
-    grid = default_grid(Coulomb(e2=1.0), 0, UNITS, n_max=2)
+    grid = default_grid(spec, l, units, n_max=2)
     for index in range(3):
-        _, u = fd_eigenvector(Coulomb(e2=1.0), 0, UNITS, grid, index)
+        _, u = fd_eigenvector(spec, l, units, grid, index)
         assert count_nodes(u[1:-1]) == index
+
+
+@pytest.mark.parametrize("spec, l, units", CATALOG, ids=CATALOG_IDS)
+def test_oracle_eigenvector_matches_lapack(spec, l, units):
+    # the same Dirichlet three-point matrix, built here, and its eigenvector
+    # from LAPACK, both Simpson-normalized with their signs aligned
+    linalg = pytest.importorskip("scipy.linalg")
+    grid = default_grid(spec, l, units, n_max=2)
+    x = grid.points()
+    t = units.hbar**2 / (2 * units.mass * grid.h**2)
+    diag = 2 * t + effective_potential(spec, l, units, x[1:-1])
+    for index in range(3):
+        x_oracle, u = fd_eigenvector(spec, l, units, grid, index)
+        assert np.array_equal(x_oracle, x)
+        assert np.isfinite(u).all()
+        _, vector = linalg.eigh_tridiagonal(diag, np.full(diag.size - 1, -t), select="i",
+                                            select_range=(index, index))
+        ref = np.zeros_like(u)
+        ref[1:-1] = vector[:, 0]
+        ref /= math.sqrt(simpson_integrate(ref * ref, grid.h))
+        if np.dot(ref, u) < 0:
+            ref = -ref
+        assert np.max(np.abs(u - ref)) < 1e-10, index
 
 
 def test_kratzer_ground_state_peaks_near_minimum():

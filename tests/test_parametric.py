@@ -21,7 +21,6 @@ from specbound import (
     UnitsConfig,
     WindowDegenerate,
     WoodsSaxon,
-    compact_jacobi_residual,
     consistency_check,
     quantization_residual,
     solve_energy,
@@ -29,6 +28,7 @@ from specbound import (
     solve_laguerre_constants,
     to_parametric,
 )
+from support import compact_jacobi_residual
 
 UNITS = UnitsConfig()
 

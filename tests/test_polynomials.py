@@ -14,11 +14,9 @@ from specbound import (
     DegreeOverflow,
     binomial,
     jacobi_eval,
-    jacobi_sum_oracle,
     laguerre_eval,
-    laguerre_sum_oracle,
-    ode_residual_check,
 )
+from support import jacobi_sum_oracle, laguerre_sum_oracle, ode_residual_check
 
 
 def test_zeroth_polynomials_are_one():

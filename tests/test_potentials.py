@@ -41,6 +41,7 @@ from specbound import (
 from specbound.potentials import sampling_window
 from specbound import potentials
 from specbound.parametric import LaguerreBranchConstants
+from support import CATALOG, CATALOG_IDS
 
 UNITS = UnitsConfig()
 
@@ -489,24 +490,7 @@ def _checked_searches(monkeypatch):
     return seen
 
 
-# the `verify-catalog` rows of the benchmark: the nine desk wells at l = 0,
-# four radial wells at l = 1 and 2, and three rows in other units
-_DESK = [GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), Mie(V0=5.0, a=1.0),
-         KratzerFues(De=10.0, re=1.0), Coulomb(e2=1.0), Pseudoharmonic(V0=2.0, r0=1.0),
-         NoncentralRadial(alpha=-1.0, lam=0.0),
-         DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0),
-         WoodsSaxon(V1=5.0, V2=10.0, a=1.0), PoschlTeller(V0=10.0, a=1.0, eta=1.0)]
-_CATALOG = ([(spec, 0, UNITS) for spec in _DESK]
-            + [(spec, l, UNITS) for l in (1, 2) for spec in _DESK[1:5]]
-            + [(Coulomb(e2=1.0), 0, UnitsConfig(hbar=2.0)),
-               (KratzerFues(De=10.0, re=1.0), 0, UnitsConfig(mass=0.5)),
-               (PoschlTeller(V0=10.0, a=1.0, eta=1.0), 0, UnitsConfig(hbar=0.5)),
-               (Coulomb(e2=2.0), 0, UNITS),
-               (GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), 0, UnitsConfig(mass=4.0))])
-
-
-@pytest.mark.parametrize("spec, l, units", _CATALOG,
-                         ids=[f"{s.family}-l{l}-{u.hbar:g}-{u.mass:g}" for s, l, u in _CATALOG])
+@pytest.mark.parametrize("spec, l, units", CATALOG, ids=CATALOG_IDS)
 def test_edge_search_is_the_scalar_bisection(spec, l, units, monkeypatch):
     # every grid edge and every sampling window edge of the row, as the
     # oracle and `wavefunction` ask for them
