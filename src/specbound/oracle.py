@@ -42,14 +42,15 @@ Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
 movement between the two resolutions doubles as the grid-adequacy check:
 when it exceeds 1e-4 the grid is declared too coarse.  The h solve starts
-from the eigenvalues of the same V_eff on an 8x coarser grid, solved only
-to converged Laguerre estimates, and the h/2 solve from the h eigenvalues;
-each matrix's own Sturm counts confirm or overrule every seed.  V_eff is
-evaluated once on the h/2 grid, whose odd interior points are the h grid.
+from Langer-WKB levels of the h potential, which take no sweep (Langer,
+Phys. Rev. 51, 669, 1937), and the h/2 solve from the h eigenvalues; each
+matrix's own Sturm counts confirm or overrule every seed.  V_eff is
+evaluated once, on the h/2 grid, whose odd interior points are the h grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -70,10 +71,8 @@ BISECT_TOL = 1e-12
 #: magnitude that infinite matrix entries and the load of a vanishing
 #: pivot are clamped to
 HUGE = 1e300
-#: the seed solve runs on this many times fewer intervals than the h grid
-SEED_COARSENING = 8
-#: fewest intervals a seed solve runs on; coarser grids seed nothing
-SEED_MIN_INTERVALS = 64
+#: a Langer-WKB level stops once its phase over pi is this close to n + mu
+WKB_PHASE_TOL = 1e-8
 #: a sweep halves its matrix by odd/even reduction while the matrix has at
 #: least this many rows
 REDUCE_MIN_ROWS = 256
@@ -97,8 +96,6 @@ class OracleSpectrum:
     grid_adequate: bool
     #: Sturm sweeps spent on the h and the h/2 matrix
     sturm_sweeps: tuple[int, int]
-    #: Sturm sweeps spent on the coarse matrix that seeds the h solve
-    seed_sweeps: int
 
 
 @dataclass(frozen=True)
@@ -534,8 +531,7 @@ def lowest_eigenvalues(diag, offdiag, count: int) -> list[float]:
     return _lowest_eigenvalues(*_form(diag, offdiag), count)[0]
 
 
-def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
-                        certify: bool = True) -> tuple[list[float], int]:
+def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], int]:
     """The lowest `count` eigenvalues of L(edges) + diag(pot) (float
     arrays, :func:`_form`), and the number of Sturm sweeps spent.
 
@@ -556,13 +552,9 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
     (:func:`_half_width`), widened after each miss, certify the final
     bracket.  Every sweep runs on the odd/even reduction of the matrix
     (:func:`_count`, :func:`_laguerre`); the reduction levels and the
-    ``np.errstate`` of the sweeps are set up once per matrix.  Without
-    ``certify`` a level stops at its converged Laguerre estimate instead,
-    which is all a seed for a finer matrix needs; a level there with no
-    other seed or solved level (level 0 of a solve without seeds) takes the
-    gap its isolating bracket proves, hi - z, or the smaller of hi - z and
-    z - lo above level 0.  A certified level without neighbours keeps gap 0
-    and steps on, so that its value stays where its counts put it.
+    ``np.errstate`` of the sweeps are set up once per matrix.  A level
+    without neighbours (no other seed or solved level) keeps gap 0 and steps
+    on, so that its value stays where its counts put it.
 
     ``seeds`` holds optional starting points, one per level.  A seed is used
     only when it lies inside its level's bracket, and its sweep's count
@@ -630,20 +622,12 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
                     elif lo[k] < z < hi[k] and dist < 0.5 * before_last:
                         before_last, last = last, dist
                         x, last_side = z, side
-                        if neighbours:
-                            gap = min(abs(z - v) for v in neighbours)
-                        elif not certify and clo[k] == k and chi[k] == k + 1:
-                            # the isolated bracket holds no other level
-                            gap = hi[k] - z if k == 0 else min(hi[k] - z, z - lo[k])
-                        else:
-                            gap = 0.0
+                        gap = min((abs(z - v) for v in neighbours), default=0.0)
                         if dist * dist * dist >= 0.5 * tol * gap * gap:
                             continue
                         # the step converged: certify z without another sweep
                         kind = "probe"
                         est, spread = z, _half_width(z)
-                if kind == "probe" and not certify:
-                    break
                 if kind == "probe" and lo[k] < est - spread:
                     x = est - spread
                 elif kind == "probe" and est + spread < hi[k]:
@@ -655,8 +639,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=(),
                     if kind != "probe":
                         isolated = clo[k] == k and chi[k] == k + 1
                         kind = "laguerre" if isolated else "bisect"
-            mid = 0.5 * lo[k] + 0.5 * hi[k]
-            out.append(est if kind == "probe" and not certify else mid)
+            out.append(0.5 * lo[k] + 0.5 * hi[k])
     return out, sweeps
 
 
@@ -684,30 +667,102 @@ def _check_intervals(intervals: int) -> None:
             f"{MAX_INTERVALS}")
 
 
-def _solve(v_eff, x_min: float, x_max: float, intervals: int,
-           units: pot.UnitsConfig, count: int, seeds=(), certify: bool = True):
-    """The lowest eigenvalues of the operator on ``intervals`` intervals,
-    and the Sturm sweeps spent."""
-    _, t, pot = _operator(v_eff, x_min, x_max, intervals, units)
-    return _lowest_eigenvalues(pot, _edges(t, pot.size), count, seeds, certify)
+def _wkb_levels(v: np.ndarray, t: float, count: int) -> list[float]:
+    """Langer-WKB estimates of the lowest ``count`` levels of L(t) + diag(v)
+    (Langer, Phys. Rev. 51, 669, 1937), from v alone: no sweep.
+
+    ``v`` is the potential on the rows, uniform points of spacing h with
+    t = c / h^2 and c = hbar^2 / 2m, Langer's c / (4 x^2) included on
+    radial problems.  Level n solves q(E) = n, where q is the phase integral
+    over pi, (h / sqrt(c)) sum_i sqrt(max(E - v_i, 0)) / pi, less mu = 1/2
+    plus 1/4 for each end row whose v lies below E (a hard wall there, not a
+    turning point: the box states above a well's asymptote).
+
+    q is evaluated on a ladder of energies from the lower end row's v up, in
+    steps of the box level spacing growing 4x, until it passes count - 1.
+    The points below that energy are then sorted, so that q(E) reads only
+    the points below E, and each level is solved by the Illinois variant of
+    false position (Dowell & Jarratt, BIT 11, 1971) from the tightest
+    bracket among the energies evaluated so far.  Returns no estimates when
+    v has no finite minimum or the ladder never passes count - 1.
+    """
+    with np.errstate(all="ignore"):
+        bottom = float(v.min())
+        if not math.isfinite(bottom):
+            return []
+        first, last = float(v[0]), float(v[-1])
+        scale = 1.0 / (math.pi * math.sqrt(t))
+
+        def q(energy, phase):
+            return phase * scale - 0.5 - 0.25 * ((first < energy) + (last < energy))
+
+        # (E, q(E)) in increasing E
+        known = [(bottom, -0.5)]
+        step = t * (math.pi * (count + 1) / (v.size + 1)) ** 2
+        end = min(first, last)
+        energy = end if bottom < end < math.inf else bottom + step
+        for _ in range(200):
+            known.append((energy, q(energy, float(np.sqrt(np.maximum(energy - v, 0.0)).sum()))))
+            if known[-1][1] > count - 1:
+                break
+            energy += step
+            step *= 4.0
+        else:
+            return []
+        points = np.sort(v[v < energy])
+        levels = []
+        for n in range(count):
+            j = next(i for i, (_, f) in enumerate(known) if f > n)
+            (a, fa), (b, fb) = known[j - 1], known[j]
+            fa, fb = fa - n, fb - n
+            side = 0
+            for _ in range(100):
+                e = (a * fb - b * fa) / (fb - fa)
+                if not a < e < b:
+                    e = 0.5 * a + 0.5 * b
+                below = points[:np.searchsorted(points, e)]
+                f = q(e, float(np.sqrt(e - below).sum()))
+                bisect.insort(known, (e, f))
+                f -= n
+                # Illinois: an end kept twice in a row has its value halved
+                if f > 0:
+                    b, fb, fa = e, f, 0.5 * fa if side > 0 else fa
+                    side = 1
+                else:
+                    a, fa, fb = e, f, 0.5 * fb if side < 0 else fb
+                    side = -1
+                if abs(f) < WKB_PHASE_TOL or b - a <= 1e-13 * abs(e):
+                    break
+            levels.append(e)
+        return levels
+
+
+def _seeded_solve(potential: np.ndarray, x: np.ndarray, t: float,
+                  units: pot.UnitsConfig, count: int, radial: bool):
+    """The lowest ``count`` eigenvalues of L(t) + diag(potential), whose
+    rows sit at the points x, and the Sturm sweeps spent, seeded from the
+    Langer-WKB levels of the potential (:func:`_wkb_levels`)."""
+    v = potential
+    if radial:
+        v = potential + units.hbar**2 / (8.0 * units.mass) / (x * x)
+    seeds = _wkb_levels(v, t, count)
+    return _lowest_eigenvalues(potential, _edges(t, potential.size), count, seeds)
 
 
 class _FDResult(tuple):
     """The ``(values, shift)`` pair of :func:`fd_eigenvalues_from_callable`,
-    also carrying ``sturm_sweeps`` (the sweeps spent at h and at h/2) and
-    ``seed_sweeps`` (those of the coarse seed solve)."""
+    also carrying ``sturm_sweeps``, the sweeps spent at h and at h/2."""
 
-    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int],
-                seed_sweeps: int):
+    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int]):
         result = super().__new__(cls, (values, shift))
         result.sturm_sweeps = sturm_sweeps
-        result.seed_sweeps = seed_sweeps
         return result
 
 
 def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
                                  units: pot.UnitsConfig = pot.UnitsConfig(),
-                                 count: int = 3, refine: bool = True):
+                                 count: int = 3, refine: bool = True, *,
+                                 radial: bool = False):
     """Lowest eigenvalues of -(hbar^2/2m) u'' + v_eff(x) u with Dirichlet
     ends.
 
@@ -716,19 +771,17 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     largest relative movement between the two resolutions.  With ``refine``
     false the plain single-grid values are returned with shift 0.  The
     pair's ``sturm_sweeps`` attribute holds the Sturm sweeps spent at h and
-    at h/2 (0 without ``refine``), and ``seed_sweeps`` those of the seed
-    solve.
+    at h/2 (0 without ``refine``).
 
-    The h solve is seeded with the eigenvalues of the same ``v_eff`` on
-    SEED_COARSENING times fewer intervals of the same [x_min, x_max], when
-    that leaves at least SEED_MIN_INTERVALS; the h/2 solve is seeded with
-    the h eigenvalues, which sit within the Richardson movement of their
-    h/2 counterparts.  Each matrix's own Sturm counts confirm or overrule
-    every seed, so seeds change the sweeps spent, not the values.
-    ``v_eff`` is called on two arrays, the seed grid and the h/2 grid: the
-    h matrix reads the h/2 potential's odd interior points, which are the
-    h grid's interior points (``np.linspace`` gives both grids the same
-    values there).  Without ``refine`` it is called on the h grid instead.
+    The h solve is seeded with the Langer-WKB levels of the h potential
+    (:func:`_wkb_levels`), with Langer's c / (4 x^2) added when ``radial``;
+    the h/2 solve is seeded with the h eigenvalues, which sit within the
+    Richardson movement of their h/2 counterparts.  Each matrix's own Sturm
+    counts confirm or overrule every seed, so seeds change the sweeps
+    spent, not the values.  ``v_eff`` is called on one array, the h/2 grid:
+    the h matrix reads its odd interior points, which are the h grid's
+    interior points (``np.linspace`` gives both grids the same values
+    there).  Without ``refine`` it is called on the h grid instead.
 
     Raises GridTooLarge, before building any matrix, when the grid has more
     than MAX_INTERVALS intervals.
@@ -736,17 +789,14 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     intervals = grid.n_points - 1
     _check_intervals(intervals)
     x_min, x_max = grid.x_min, grid.x_max
-    seeds, seed_sweeps = (), 0
-    if intervals // SEED_COARSENING >= SEED_MIN_INTERVALS:
-        seeds, seed_sweeps = _solve(v_eff, x_min, x_max, intervals // SEED_COARSENING,
-                                    units, count, certify=False)
     if not refine:
-        base, sweeps = _solve(v_eff, x_min, x_max, intervals, units, count, seeds)
-        return _FDResult(np.asarray(base), 0.0, (sweeps, 0), seed_sweeps)
-    _, t_half, pot_half = _operator(v_eff, x_min, x_max, 2 * intervals, units)
+        x, t, pot_h = _operator(v_eff, x_min, x_max, intervals, units)
+        base, sweeps = _seeded_solve(pot_h, x[1:-1], t, units, count, radial)
+        return _FDResult(np.asarray(base), 0.0, (sweeps, 0))
+    x, t_half, pot_half = _operator(v_eff, x_min, x_max, 2 * intervals, units)
     pot_h = pot_half[1::2]
     t = _hopping(x_min, x_max, intervals, units)
-    base, sweeps = _lowest_eigenvalues(pot_h, _edges(t, pot_h.size), count, seeds)
+    base, sweeps = _seeded_solve(pot_h, x[2:-1:2], t, units, count, radial)
     fine, fine_sweeps = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size),
                                             count, base)
     base = np.asarray(base)
@@ -754,7 +804,7 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     rich = (4.0 * fine - base) / 3.0
     scale = np.maximum(np.abs(rich), 1e-30)
     shift = float(np.max(np.abs(fine - base) / scale))
-    return _FDResult(rich, shift, (sweeps, fine_sweeps), seed_sweeps)
+    return _FDResult(rich, shift, (sweeps, fine_sweeps))
 
 
 def _effective_grid(spec, grid: RadialGrid) -> RadialGrid:
@@ -784,7 +834,7 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     def v_eff(x):
         return pot.effective_potential(spec, l, units, x)
 
-    solved = fd_eigenvalues_from_callable(v_eff, grid, units, count)
+    solved = fd_eigenvalues_from_callable(v_eff, grid, units, count, radial=spec.radial)
     values, shift = solved
     adequate = shift <= RICHARDSON_TOL
     if strict_grid and not adequate:
@@ -794,8 +844,7 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     bound = tuple(float(v) for v in values if v < asym)
     return OracleSpectrum(eigenvalues=bound, grid=grid,
                           asymptote=asym, richardson_shift=shift,
-                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps,
-                          seed_sweeps=solved.seed_sweeps)
+                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps)
 
 
 def _excesses(w: list[float], b: float):
@@ -825,6 +874,8 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
     factorization of T - lam = L(t) + diag(V_eff - lam) at its certified
     eigenvalue lam (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Dhillon
     & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004), with no iteration.
+    lam is solved as the h levels of :func:`fd_eigenvalues_from_callable`
+    are, seeded from the Langer-WKB levels of the same potential.
 
     The excess recursion of the counts runs down the rows and up them
     (:func:`_excesses`).  The row r where the twisted pivot delta+_r +
@@ -842,7 +893,7 @@ def fd_eigenvector(spec, l: int, units: pot.UnitsConfig, grid: RadialGrid,
         return pot.effective_potential(spec, l, units, x)
 
     x, t, potential = _operator(v_eff, grid.x_min, grid.x_max, grid.n_points - 1, units)
-    lam = _lowest_eigenvalues(potential, _edges(t, potential.size), index + 1)[0][index]
+    lam = _seeded_solve(potential, x[1:-1], t, units, index + 1, spec.radial)[0][index]
     w = potential - lam
     down, q_down = _excesses(w.tolist(), t)
     up, q_up = _excesses(w[::-1].tolist(), t)

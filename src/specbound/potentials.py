@@ -219,12 +219,21 @@ class _Well(_Family):
             return (top, top)
 
 
-class _InversePower(_Family):
+class _Radial(_Family):
+    """Radial problem on r > 0: a family supplies its V as ``_v(r)`` on a
+    float array of positive r, and ``potential`` checks the domain first."""
+
+    radial: ClassVar[bool] = True
+
+    def potential(self, r):
+        return self._v(_check_radial_coordinate(r))
+
+
+class _InversePower(_Radial):
     """V_eff = C - A/r + B/r^2 in s = r, c1 = 2: a family supplies
     ``_c_lam23(l, units)`` = (C, L2, L3), with the barrier B in L3.  Levels are
     E_n = C - (hbar^2/2m) (L2/d)^2 with d = 2n + 1 + sqrt(1 + 4 L3)."""
 
-    radial: ClassVar[bool] = True
     branch: ClassVar[str] = LAGUERRE
 
     def coordinate_map(self, l, units) -> CoordinateMap:
@@ -397,8 +406,7 @@ class Mie(_InversePower):
         if self.V0 <= 0 or self.a <= 0:
             raise InvalidParameters("Mie needs V0 > 0 and a > 0")
 
-    def potential(self, r):
-        r = _check_radial_coordinate(r)
+    def _v(self, r):
         return self.V0 * (0.5 * (self.a / r) ** 2 - self.a / r)
 
     def asymptote(self) -> float:
@@ -428,8 +436,7 @@ class KratzerFues(_InversePower):
         if self.De <= 0 or self.re <= 0:
             raise InvalidParameters("Kratzer-Fues needs De > 0 and re > 0")
 
-    def potential(self, r):
-        r = _check_radial_coordinate(r)
+    def _v(self, r):
         return self.De * ((r - self.re) / r) ** 2
 
     def asymptote(self) -> float:
@@ -459,8 +466,7 @@ class Coulomb(_InversePower):
         if self.e2 <= 0:
             raise InvalidParameters("Coulomb needs e2 > 0 for binding")
 
-    def potential(self, r):
-        r = _check_radial_coordinate(r)
+    def _v(self, r):
         return -self.e2 / r
 
     def asymptote(self) -> float:
@@ -481,7 +487,7 @@ class Coulomb(_InversePower):
 
 
 @dataclass(frozen=True)
-class Pseudoharmonic(_Family):
+class Pseudoharmonic(_Radial):
     """V(r) = V0 (r/r0 - r0/r)^2, confining on both sides of r0."""
 
     V0: float
@@ -489,7 +495,6 @@ class Pseudoharmonic(_Family):
 
     family: ClassVar[str] = "pseudoharmonic"
     label: ClassVar[str] = "Pseudoharmonic"
-    radial: ClassVar[bool] = True
     branch: ClassVar[str] = LAGUERRE
     param_units: ClassVar[dict] = {"V0": "energy", "r0": "length"}
 
@@ -498,8 +503,7 @@ class Pseudoharmonic(_Family):
         if self.V0 <= 0 or self.r0 <= 0:
             raise InvalidParameters("Pseudoharmonic needs V0 > 0 and r0 > 0")
 
-    def potential(self, r):
-        r = _check_radial_coordinate(r)
+    def _v(self, r):
         return self.V0 * (r / self.r0 - self.r0 / r) ** 2
 
     def asymptote(self) -> float:
@@ -561,8 +565,7 @@ class NoncentralRadial(_InversePower):
         if self.lam < 0:
             raise InvalidParameters("separation constant lambda must be >= 0")
 
-    def potential(self, r):
-        r = _check_radial_coordinate(r)
+    def _v(self, r):
         return self.alpha / r
 
     def separation_barrier(self, r):
@@ -829,11 +832,17 @@ def _climb(spec, l: int, units: UnitsConfig, level: float, direction: int) -> fl
     """Where V_eff, rising from the analytic bottom of the well in
     `direction`, reaches `level`: a classical turning point when `level` is
     an energy.  A radial walk steps from the radius of the bottom or, where
-    V_eff has none, from the decay length hbar / sqrt(2m (V_asym - level))."""
+    V_eff has none, from the decay length hbar / sqrt(2m (V_asym - level)).
+
+    l and the radial domain are checked once per search, not per batch of
+    probes: an outward walk from r >= 0 probes only r > 0."""
     if spec.radial:
+        _validate_l(spec, l)
         start = spec.radial_center(l, units)
+        if direction < 0 or not start >= 0:
+            raise OutOfDomain("a radial edge search walks outward from r >= 0")
         step = start or units.hbar / math.sqrt(2 * units.mass * (spec.asymptote() - level))
-        return _expand_to_edge(lambda r: effective_potential(spec, l, units, r) >= level,
+        return _expand_to_edge(lambda r: _radial_v_eff(spec, l, units, r) >= level,
                                start, step, direction)
     return _expand_to_edge(lambda x: spec.potential(x) >= level, spec.well_center(),
                            1.0 / spec.a, direction)
@@ -951,11 +960,19 @@ def effective_potential(spec: PotentialSpec, l: int, units: UnitsConfig, x):
     for the noncentral radial equation)."""
     _validate_l(spec, l)
     x = np.asarray(x, dtype=float)
-    v = np.asarray(spec.potential(x), dtype=float)
+    if spec.radial:
+        return _radial_v_eff(spec, l, units, _check_radial_coordinate(x))
+    return np.asarray(spec.potential(x), dtype=float)
+
+
+def _radial_v_eff(spec: PotentialSpec, l: int, units: UnitsConfig, r: np.ndarray):
+    """:func:`effective_potential` of a radial family on a float array of
+    r > 0, without its checks of l and of the domain."""
+    v = np.asarray(spec._v(r), dtype=float)
     if isinstance(spec, NoncentralRadial):
-        v = v + spec.separation_barrier(x)
-    elif spec.radial and l > 0:
-        v = v + units.hbar**2 * l * (l + 1) / (2 * units.mass * x**2)
+        v = v + spec.separation_barrier(r)
+    elif l > 0:
+        v = v + units.hbar**2 * l * (l + 1) / (2 * units.mass * r**2)
     return v
 
 

@@ -196,36 +196,53 @@ def test_sturm_sweep_budget_pseudoharmonic():
 
 
 def test_seed_solve_sweep_budget_coulomb():
-    # the h solve starts from the levels of an 8x coarser grid: the seed
-    # solve's sweeps are reported apart from those at h and h/2
+    # the h solve starts from the Langer-WKB levels of its own potential, on
+    # every grid: a small grid of 399 intervals is seeded too (34 sweeps at
+    # h without seeds)
     spec = Coulomb(e2=1.0)
     first = fd_eigenvalues(spec, 0, UNITS, count=3)
-    assert 0 < first.seed_sweeps <= 40
     assert first.sturm_sweeps[0] <= 20
-    again = fd_eigenvalues(spec, 0, UNITS, count=3)
-    assert (again.seed_sweeps, again.sturm_sweeps) == (first.seed_sweeps, first.sturm_sweeps)
-    # 399 intervals leave 49 for the seed grid, below the 64 it needs
+    assert fd_eigenvalues(spec, 0, UNITS, count=3).sturm_sweeps == first.sturm_sweeps
     small = fd_eigenvalues(spec, 0, UNITS, grid=RadialGrid(0.0, 40.0, 400), count=3,
                            strict_grid=False)
-    assert small.seed_sweeps == 0
+    assert small.sturm_sweeps[0] <= 20
 
 
-def test_seed_solves_start_below_the_end_potential():
-    # the nine desk rows as `verify --n-max 2` solves them: the unseeded
-    # seed solve counts first at the lower of its end rows' potentials,
-    # which bounds every well's levels; bisecting from the Gershgorin top
-    # instead took 183 seed sweeps, 19 of them for Morse
+def test_seed_solves_start_below_the_end_potential(monkeypatch):
+    # the nine desk rows' h matrices as `verify --n-max 2` builds them: a
+    # solve without seeds counts first at the lower of its end rows'
+    # potentials, which bounds every well's levels, when it lies above the
+    # lowest row; the nine certified solves take 188 sweeps, and 278 when
+    # they bisect from halfway up to the Gershgorin top instead (Morse 23
+    # against 6)
     desk = [GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), Mie(V0=5.0, a=1.0),
             KratzerFues(De=10.0, re=1.0), Coulomb(e2=1.0), Pseudoharmonic(V0=2.0, r0=1.0),
             NoncentralRadial(alpha=-1.0, lam=0.0),
             DeformedRosenMorse(V1=4.0, V2=8.0, a=0.5, eta=1.0),
             WoodsSaxon(V1=5.0, V2=10.0, a=1.0), PoschlTeller(V0=10.0, a=1.0, eta=1.0)]
-    sweeps = {}
+    shifts = []
+    count_sweep = oracle._count
+
+    def recorded(pot, edges, lam, levels):
+        shifts.append(lam)
+        return count_sweep(pot, edges, lam, levels)
+
+    monkeypatch.setattr(oracle, "_count", recorded)
+    total = 0
     for spec in desk:
         count = len(spectrum(spec, 0, UNITS, n_max=2))
-        sweeps[spec.family] = fd_eigenvalues(spec, 0, UNITS, count=count).seed_sweeps
-    assert sum(sweeps.values()) <= 140
-    assert sweeps["morse"] <= 8
+        grid = oracle._effective_grid(spec, default_grid(spec, 0, UNITS, n_max=count - 1))
+        _, t, pot = oracle._operator(lambda x: effective_potential(spec, 0, UNITS, x),
+                                     grid.x_min, grid.x_max, grid.n_points - 1, UNITS)
+        shifts.clear()
+        total += _lowest_eigenvalues(pot, _edges(t, pot.size), count)[1]
+        end = min(pot[0], pot[-1])
+        if end > pot.min():
+            assert shifts[0] == end
+        else:
+            # the Coulomb row at r = h is the lowest: it bounds no level
+            assert spec.family in ("coulomb", "noncentral_radial")
+    assert total <= 188
 
 
 def _refuse_to_build(*args, **kwargs):
@@ -257,48 +274,10 @@ def test_row_cap_admits_the_largest_grid_that_passes():
     oracle._check_intervals(oracle.MAX_INTERVALS)
 
 
-def test_seed_solve_stops_at_converged_estimates():
-    # the seed matrix of the Coulomb default grid: without certification each
-    # level ends at its converged Laguerre estimate, in fewer sweeps than the
-    # certifying probes need and well within what a seed has to be
-    def v_eff(x):
-        return effective_potential(Coulomb(e2=1.0), 0, UNITS, x)
-
-    intervals = 5999 // oracle.SEED_COARSENING
-    _, t, pot = oracle._operator(v_eff, 0.0, 80.0, intervals, UNITS)
-    edges = _edges(t, pot.size)
-    certified, certified_sweeps = _lowest_eigenvalues(pot, edges, 3)
-    estimates, sweeps = _lowest_eigenvalues(pot, edges, 3, certify=False)
-    assert sweeps < certified_sweeps
-    assert np.allclose(estimates, certified, rtol=0.0, atol=1e-10)
-
-
-@pytest.mark.parametrize("spec, budget", [
-    (Coulomb(e2=1.0), 12), (GeneralizedMorse(V1=100.0, V2=20.0, a=1.0), 4),
-    (Mie(V0=5.0, a=1.0), 6),
-], ids=lambda v: getattr(v, "family", ""))
-def test_unseeded_ground_level_takes_its_converged_step(spec, budget):
-    # level 0 of a solve without seeds has no other level to measure its
-    # gap to; the bracket that isolates it proves its gap to level 1 is at
-    # least hi - z, so the converged-step exit can fire (one Laguerre sweep
-    # more, 13, 5 and 7, when the gap was taken as 0)
-    def v_eff(x):
-        return effective_potential(spec, 0, UNITS, x)
-
-    grid = default_grid(spec, 0, UNITS, n_max=2)
-    intervals = (grid.n_points - 1) // oracle.SEED_COARSENING
-    _, t, pot = oracle._operator(v_eff, grid.x_min, grid.x_max, intervals, UNITS)
-    edges = _edges(t, pot.size)
-    (estimate,), sweeps = _lowest_eigenvalues(pot, edges, 1, certify=False)
-    assert sweeps <= budget
-    assert estimate == pytest.approx(_lowest_eigenvalues(pot, edges, 1)[0][0],
-                                     rel=0.0, abs=1e-10)
-
-
-def test_fd_eigenvalues_evaluates_the_potential_on_two_arrays(monkeypatch):
-    # the seed grid, and the h/2 grid, whose odd interior points are the h
-    # grid's interior points bit for bit; the values are those of solving
-    # each grid on its own potential array
+def test_fd_eigenvalues_evaluates_the_potential_on_one_array(monkeypatch):
+    # the h/2 grid, whose odd interior points are the h grid's interior
+    # points bit for bit; the h solve is seeded from the Langer-WKB levels of
+    # that potential, the h/2 solve from the h values
     spec = Coulomb(e2=1.0)
     grid = default_grid(spec, 0, UNITS, n_max=2)
     intervals = grid.n_points - 1
@@ -311,18 +290,18 @@ def test_fd_eigenvalues_evaluates_the_potential_on_two_arrays(monkeypatch):
 
     monkeypatch.setattr(potentials, "effective_potential", recorded)
     solved = fd_eigenvalues(spec, 0, UNITS, grid=grid, count=3)
-    assert [x.size for x in evaluated] == [intervals // oracle.SEED_COARSENING - 1,
-                                           2 * intervals - 1]
-    h_points = np.linspace(grid.x_min, grid.x_max, intervals + 1)[1:-1]
-    assert np.array_equal(evaluated[1][1::2], h_points)
+    assert [x.size for x in evaluated] == [2 * intervals - 1]
+    x = np.linspace(grid.x_min, grid.x_max, intervals + 1)
+    assert np.array_equal(evaluated[0][1::2], x[1:-1])
 
-    def solve(n, seeds=(), certify=True):
-        return oracle._solve(lambda x: v_eff(spec, 0, UNITS, x), grid.x_min, grid.x_max,
-                             n, UNITS, 3, seeds, certify)
-
-    seeds, _ = solve(intervals // oracle.SEED_COARSENING, certify=False)
-    base, _ = solve(intervals, seeds)
-    fine, _ = solve(2 * intervals, base)
+    pot = v_eff(spec, 0, UNITS, x[1:-1])
+    t = oracle._hopping(grid.x_min, grid.x_max, intervals, UNITS)
+    seeds = oracle._wkb_levels(pot + 1.0 / (8.0 * x[1:-1] ** 2), t, 3)
+    base, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), 3, seeds)
+    half = np.linspace(grid.x_min, grid.x_max, 2 * intervals + 1)[1:-1]
+    pot_half = v_eff(spec, 0, UNITS, half)
+    t_half = oracle._hopping(grid.x_min, grid.x_max, 2 * intervals, UNITS)
+    fine, _ = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size), 3, base)
     rich = (4.0 * np.asarray(fine) - np.asarray(base)) / 3.0
     assert solved.eigenvalues == tuple(rich.tolist())
 
@@ -453,7 +432,7 @@ def test_oracle_never_calls_the_closed_form(monkeypatch):
     spec = Coulomb(e2=1.0)
     grid = RadialGrid(0.0, 80.0, 6000)
     values, shift = fd_eigenvalues_from_callable(
-        lambda x: effective_potential(spec, 0, UNITS, x), grid, UNITS, count=3)
+        lambda x: effective_potential(spec, 0, UNITS, x), grid, UNITS, count=3, radial=True)
     assert shift < 1e-4
     for v, exact in zip(values, [-0.5, -0.125, -1.0 / 18.0]):
         assert abs(v - exact) < 1e-5 * abs(exact)
@@ -484,15 +463,70 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
         # puts 5e4 on the diagonal next to r = 0)
         return 1e-12 + 64 * np.finfo(float).eps * max(abs(v) for v in diag)
 
-    # h, seeded from the coarse grid
-    solved = fd_eigenvalues_from_callable(v_eff, grid, UNITS, count=3, refine=False)
-    assert solved.seed_sweeps > 0
+    # h, seeded from the Langer-WKB levels of its potential
+    solved = fd_eigenvalues_from_callable(v_eff, grid, UNITS, count=3, refine=False,
+                                          radial=True)
     diag, _, exact = dense(grid.n_points - 1)
     assert np.allclose(solved[0], exact, rtol=0.0, atol=tolerance(diag))
     # h/2, seeded from h
     diag, operator, exact = dense(2 * (grid.n_points - 1))
     values, _ = _lowest_eigenvalues(*operator, 3, seeds=list(solved[0]))
     assert np.allclose(values, exact, rtol=0.0, atol=tolerance(diag))
+
+
+def _wkb_bound(spec, l):
+    """The measured worst relative error of the Langer-WKB seeds on the
+    catalog rows, rounded up: 7.9e-2 on the step wells (Rosen-Morse), 4.8e-3
+    on Coulomb at l = 0 (e2 = 2), whose inner turning point lies a few
+    rows from the origin, and 3.5e-4 elsewhere (Morse, mass 4)."""
+    if spec.family in ("rosen_morse", "woods_saxon", "poschl_teller"):
+        return 1e-1
+    if spec.family in ("coulomb", "noncentral_radial") and l == 0:
+        return 1e-2
+    return 1e-3
+
+
+@pytest.mark.parametrize("spec, l, units", CATALOG, ids=CATALOG_IDS)
+def test_wkb_seeds_lie_near_the_certified_levels(spec, l, units):
+    count = len(spectrum(spec, l, units, n_max=2))
+    grid = oracle._effective_grid(spec, default_grid(spec, l, units, n_max=count - 1))
+    x, t, pot = oracle._operator(lambda x: effective_potential(spec, l, units, x),
+                                 grid.x_min, grid.x_max, grid.n_points - 1, units)
+    v = pot
+    if spec.radial:
+        v = pot + units.hbar**2 / (8.0 * units.mass) / x[1:-1] ** 2
+    seeds = oracle._wkb_levels(v, t, count)
+    assert len(seeds) == count
+    assert all(math.isfinite(e) for e in seeds)
+    assert all(a < b for a, b in zip(seeds, seeds[1:]))
+    certified, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
+    for seed, level in zip(seeds, certified):
+        assert abs(seed - level) <= _wkb_bound(spec, l) * abs(level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seeds_change_sweeps_never_values(data):
+    # smooth wells and rough potentials on small grids, radial or not: the
+    # WKB-seeded and the unseeded certified solves agree within the widths
+    # of their certified brackets
+    intervals = data.draw(st.integers(3, 300))
+    span = data.draw(st.floats(0.5, 50.0))
+    x = np.linspace(0.0, span, intervals + 1)[1:-1]
+    if data.draw(st.booleans()):
+        depth, width = data.draw(st.floats(-50.0, 50.0)), data.draw(st.floats(0.05, 1.0))
+        centre = data.draw(st.floats(0.0, 1.0)) * span
+        pot = -depth * np.exp(-((x - centre) / (width * span)) ** 2)
+    else:
+        pot = np.array(data.draw(st.lists(_entries, min_size=x.size, max_size=x.size)))
+    units = UnitsConfig(hbar=data.draw(st.floats(0.1, 10.0)))
+    radial = data.draw(st.booleans())
+    count = data.draw(st.integers(1, min(6, x.size)))
+    t = oracle._hopping(0.0, span, intervals, units)
+    seeded, _ = oracle._seeded_solve(pot, x, t, units, count, radial)
+    unseeded, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
+    for a, b in zip(seeded, unseeded):
+        assert abs(a - b) <= oracle._width_tol(a, b)
 
 
 # ------------------------------------------------------ odd/even reduction
