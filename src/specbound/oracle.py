@@ -38,6 +38,24 @@ sweep ends on S's last pivot, its last excess plus its last (ghost) edge.
 Every level ends in a count-certified bracket no wider than
 max(BISECT_TOL, 4 ulp).
 
+A seeded level sweeps only a window of the matrix (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993, truncates infinite intervals
+the same way).  The window is chosen once per level, from the potential
+alone, at an energy E_w above the shifts the level is expected to probe
+(halfway to the next seed): it holds the rows with V < E_w and reaches WINDOW_PHI = 25
+decay lengths, summed over the rows as arccosh(1 + (V - E_w) / 2t), into
+either tail.  The rows outside are then positive definite at every shift
+below E_w, and eliminating them loads each cut row with an amount between
+0 and its cut edge t.  By Sylvester's law the matrix's count therefore lies
+between the window's count with ghost edges t at its cuts (Dirichlet) and
+its count with ghost edges 0 (Neumann).  One sweep yields both; where they
+agree they are the matrix's count, good for either end of a bracket, so
+every level stays count-certified for the whole matrix.  At 25 decay
+lengths they agree except within rounding of a level, and the windows of the
+verify catalog keep about 64% of the rows.  A sweep at or above E_w, or at
+a shift where the two counts differ, runs the same code on the whole
+matrix.
+
 Every eigenvalue is computed at two resolutions (h and h/2).  The reported
 value is the h^2 Richardson extrapolation of the pair and the relative
 movement between the two resolutions doubles as the grid-adequacy check:
@@ -83,6 +101,9 @@ BLOCK_PIVOT = (math.sqrt(5.0) - 1.0) / 2.0
 #: most intervals of an h grid the oracle builds matrices for; the h/2
 #: matrix then has 2^23 rows, 64 MB per float64 array
 MAX_INTERVALS = 2**22
+#: decay lengths, summed over the rows, by which a sweep window reaches past
+#: the rows below its energy into either tail
+WINDOW_PHI = 25.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,8 @@ class OracleSpectrum:
     grid_adequate: bool
     #: Sturm sweeps spent on the h and the h/2 matrix
     sturm_sweeps: tuple[int, int]
+    #: rows those sweeps ran on, summed over the sweeps at h and at h/2
+    sturm_rows: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -171,6 +194,58 @@ def _levels(rows: int) -> int:
         rows = (rows + 1) // 2
         levels += 1
     return levels
+
+
+def _window(pot: np.ndarray, t: float, energy: float):
+    """The sweep window of a level whose shifts stay below ``energy``:
+    (start, stop, levels, cut) for the rows [start, stop) of L(t) +
+    diag(pot), its reduction levels (:func:`_levels`) and whether each end
+    (left, right) is cut from the matrix.
+
+    The window holds the rows with pot < energy and reaches WINDOW_PHI
+    decay lengths past the outermost of them into either tail, each row
+    adding arccosh(1 + (pot - energy) / 2t), the decay rate of the lattice.
+    pot is read at every s-th row, s = ceil(rows / 256), and each sample's
+    decay stands for the s rows from it outward: where the decay grows
+    outward, as it does past a turning point, the sum is never more than
+    the rows' own, so the window is never narrower.  Outside it pot >=
+    energy, which one minimum over each tail confirms, so at any shift
+    below ``energy`` those rows are positive definite (:func:`_bounds`).
+    The window is then widened, when its right end is cut, until the
+    odd/even reduction keeps its last row (len - 1 a multiple of
+    2^levels).  An end that reaches the matrix's end is not cut.  With no
+    sample below ``energy``, or a row below it outside the window (a dip
+    between samples), the window is the whole matrix.
+    """
+    n = pot.size
+    whole = 0, n, _levels(n), (False, False)
+    stride = -(-n // 256)
+    # 1 + (pot - energy) / 2t
+    decay = pot[::stride] - (energy - 2.0 * t)
+    decay /= 2.0 * t
+    inside = np.flatnonzero(decay < 1.0)
+    if not inside.size:
+        return whole
+    np.maximum(decay, 1.0, out=decay)
+    np.arccosh(decay, out=decay)
+    decay.cumsum(out=decay)
+    # the samples before which the decay from the first and after which the
+    # decay from the last sample inside adds up to WINDOW_PHI
+    reach = WINDOW_PHI / stride
+    left, right = decay.searchsorted((decay[inside[0]] - reach, decay[inside[-1]] + reach))
+    start = max(stride * (int(left) - 1), 0)
+    stop = min(stride * (int(right) + 1), n)
+    if pot[:start].min(initial=math.inf) < energy or pot[stop:].min(initial=math.inf) < energy:
+        return whole
+    size = stop - start
+    while stop < n:
+        levels = _levels(size)
+        step = 1 << levels
+        size = 1 + -(-(size - 1) // step) * step
+        if _levels(size) == levels:
+            break
+    stop = min(start + size, n)
+    return start, stop, _levels(stop - start), (start > 0, stop < n)
 
 
 def _odd_pivots(w: np.ndarray, e: np.ndarray):
@@ -274,14 +349,18 @@ def _pivots(rows, edges, d: float):
 
 def _sturm(pot: np.ndarray, edges: np.ndarray, lam: float) -> int:
     """One count-only sweep: the number of negative pivots of T - lam =
-    L(edges) + diag(pot - lam) (:func:`_count`)."""
+    L(edges) + diag(pot - lam) (:func:`_count` on the whole matrix)."""
     with np.errstate(all="ignore"):
-        return _count(pot, edges, lam, _levels(pot.size))
+        return _count(pot, edges, lam, _levels(pot.size))[0]
 
 
-def _count(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int) -> int:
-    """:func:`_sturm` with the matrix's reduction levels (:func:`_levels`),
-    under the caller's ``np.errstate``.
+def _count(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int,
+           cut: tuple[bool, bool] = (False, False)) -> tuple[int, int]:
+    """The Sturm count of T - lam = L(edges) + diag(pot - lam), with the
+    matrix's reduction levels (:func:`_levels`), under the caller's
+    ``np.errstate``, as a pair (:func:`_bounds`): the count with the ghost
+    edges as given, and with the ghost edge of each ``cut`` end (left,
+    right) at 0.
 
     The matrix is odd/even reduced (:func:`_reduce`) and the pivot
     recursion runs on the complement, from row 0's excess w_0 + e_0; its
@@ -290,20 +369,69 @@ def _count(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int) -> int:
     """
     w, e = _reduce(pot - lam, edges, levels)
     count, d = _pivots(w[1:].tolist(), e[1:-1].tolist(), float(w[0]) + float(e[0]))
-    return count + (d + float(e[-1]) < 0)
+    return _bounds(count + (d + float(e[-1]) < 0), d, w, e, cut)
+
+
+def _bounds(count: int, end: float, w: np.ndarray, e: np.ndarray,
+            cut: tuple[bool, bool]) -> tuple[int, int]:
+    """(count, ceiling): ``count`` of the negative pivots of the reduced
+    L(e) + diag(w), whose recursion ended on the excess ``end``; and the
+    count of the same matrix with the ghost edge of each ``cut`` end at 0.
+
+    A sweep window cut from a matrix whose rows outside it have pot > lam
+    keeps its cut edges b as ghost edges (Dirichlet).  Eliminating the
+    positive definite rows outside gives the cut row a load b delta / (b +
+    delta) with delta > 0 in place of b, so by Sylvester's law of inertia
+    the matrix's count lies between ``count`` and the ceiling (Neumann,
+    load 0).  The reduction keeps both end rows of a window with their
+    ghost edges (:func:`_window`), so the two differ only in the first
+    excess and the last pivot.  From the left end the two recursions run
+    side by side (:func:`_free_head`) until their excesses coincide, which
+    they do within a few rows of a cut deep in a decaying tail.
+    """
+    left, right = cut
+    if not (left or right):
+        return count, count
+    last = float(e[-1])
+    ceiling = count - (end + last < 0)
+    if left:
+        shift, d, free = _free_head(w, e, float(w[0]) + float(e[0]), float(w[0]))
+        ceiling += shift
+        if free != d:  # they never met: free ran over every row
+            end = free
+    return count, ceiling + (end + (0.0 if right else last) < 0)
+
+
+def _free_head(w: np.ndarray, e: np.ndarray, d: float, free: float):
+    """The pivot recursion (:func:`_pivots`) down the rows after row 0 of
+    L(e) + diag(w) from two excesses of row 0, d and free, in blocks of rows
+    until the two excesses coincide or the rows run out: the second count
+    less the first, and both excesses where they stopped."""
+    shift, done, size = 0, 1, 8
+    while free != d and done < w.size:
+        block, edges = w[done:done + size].tolist(), e[done:done + size].tolist()
+        count, d = _pivots(block, edges, d)
+        more, free = _pivots(block, edges, free)
+        shift += more - count
+        done += size
+        size *= 2
+    return shift, d, free
 
 
 def _laguerre_sweep(pot: np.ndarray, edges: np.ndarray, lam: float):
     """The count of :func:`_sturm` plus g = sum 1/(lam - e_j) and h = sum
     1/(lam - e_j)^2 over all eigenvalues e_j of T, in the same sweep
-    (:func:`_laguerre`)."""
+    (:func:`_laguerre` on the whole matrix)."""
     with np.errstate(all="ignore"):
-        return _laguerre(pot, edges, lam, _levels(pot.size))
+        count, _, g, h = _laguerre(pot, edges, lam, _levels(pot.size))
+    return count, g, h
 
 
-def _laguerre(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int):
+def _laguerre(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int,
+              cut: tuple[bool, bool] = (False, False)):
     """:func:`_laguerre_sweep` with the matrix's reduction levels, under the
-    caller's ``np.errstate``.
+    caller's ``np.errstate``: the two counts of :func:`_count`, then g and
+    h.
 
     g and -h are the first two lam-derivatives of log|det(T - lam)|.  The
     odd/even reduction splits that into sum log p over the eliminated
@@ -312,9 +440,9 @@ def _laguerre(pot: np.ndarray, edges: np.ndarray, lam: float, levels: int):
     (:func:`_reduce_jets`), and :func:`_laguerre_pivots` runs the pivot
     recursion on the complement.  The Laguerre degree stays the order of T.
     """
-    jets, g, h = _reduce_jets(pot - lam, edges, levels)
-    count, g_s, h_s = _laguerre_pivots(*jets)
-    return count, g + g_s, h + h_s
+    (w, e, *derivatives), g, h = _reduce_jets(pot - lam, edges, levels)
+    count, g_s, h_s, d = _laguerre_pivots(w.tolist(), e.tolist(), *derivatives)
+    return (*_bounds(count, d, w, e, cut), g + g_s, h + h_s)
 
 
 def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
@@ -400,9 +528,10 @@ def _reduce_jets(w: np.ndarray, e: np.ndarray, levels: int):
     return (w, e, s1, s2, c1, c2), g, h
 
 
-def _laguerre_pivots(w, e, s1, s2, c1, c2):
-    """Count, g and h of the pivot recursion (:func:`_pivots`) on L(e) +
-    diag(w), with the first and second lam-derivatives of its diagonal
+def _laguerre_pivots(rows, edges, s1, s2, c1, c2):
+    """Count, g, h and the last excess of the pivot recursion
+    (:func:`_pivots`) on L(e) + diag(w), given as the lists ``rows`` and
+    ``edges``, with the first and second lam-derivatives of its diagonal
     (s1, s2) and of its squared edges (c1, c2, aligned with e), arrays or
     scalars for every row.
 
@@ -418,7 +547,6 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
     (an edge of weight 0 after it) makes g and h huge or not finite, which
     the caller treats as a refused step.
     """
-    rows, edges = w.tolist(), e.tolist()
     a1s, a2s, b1s, b2s = (part.tolist() if isinstance(part, np.ndarray)
                           else [part] * len(edges) for part in (s1, s2, c1, c2))
     floor, huge, alpha, inf = PIVOT_FLOOR, HUGE, BLOCK_PIVOT, math.inf
@@ -488,7 +616,7 @@ def _laguerre_pivots(w, e, s1, s2, c1, c2):
         u = un / p
         g += u
         h += u * u - vn / p
-    return count, g, h
+    return count, g, h, d
 
 
 def _laguerre_step(g: float, h: float, n: int, side: int) -> float:
@@ -531,9 +659,10 @@ def lowest_eigenvalues(diag, offdiag, count: int) -> list[float]:
     return _lowest_eigenvalues(*_form(diag, offdiag), count)[0]
 
 
-def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], int]:
+def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], int, int]:
     """The lowest `count` eigenvalues of L(edges) + diag(pot) (float
-    arrays, :func:`_form`), and the number of Sturm sweeps spent.
+    arrays, :func:`_form`), the number of Sturm sweeps spent and the rows
+    they ran on.
 
     Each value is the midpoint of a bracket [lo, hi] no wider than
     max(BISECT_TOL, 4 ulp) whose ends carry Sturm counts: at most k
@@ -550,27 +679,38 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], 
     width (dist (dist / gap)^2, gap being the distance to the nearest other
     seed or solved level), count-only probes either side of the estimate
     (:func:`_half_width`), widened after each miss, certify the final
-    bracket.  Every sweep runs on the odd/even reduction of the matrix
-    (:func:`_count`, :func:`_laguerre`); the reduction levels and the
-    ``np.errstate`` of the sweeps are set up once per matrix.  A level
+    bracket.  Every sweep runs on the odd/even reduction of its rows
+    (:func:`_count`, :func:`_laguerre`) under one ``np.errstate``.  A level
     without neighbours (no other seed or solved level) keeps gap 0 and steps
     on, so that its value stays where its counts put it.
 
     ``seeds`` holds optional starting points, one per level.  A seed is used
     only when it lies inside its level's bracket, and its sweep's count
     decides what it is worth: a wrong seed or a wrong convergence estimate
-    costs sweeps, never accuracy.
+    costs sweeps, never accuracy.  With seeds, each level also gets a sweep
+    window (:func:`_window`), chosen once from pot at an energy E_w halfway
+    from its seed to the next one (half the last spacing above the last
+    seed), or at hi if that is lower.  A sweep below E_w runs on the window
+    alone, whose rows outside have pot > lam: its count with the cut edges
+    kept (Dirichlet) cannot exceed the matrix's, and its count with them at
+    0 (Neumann) cannot fall below it (:func:`_bounds`).  Where the two
+    agree they are the matrix's count, which an upper bracket end (needing
+    a count no larger than the matrix's) and a lower end (one no smaller)
+    may both take, so every bracket stays certified for the whole matrix.
+    Where they differ the sweep is repeated on the whole matrix, as are the
+    level's later sweeps; so is every sweep at or above E_w.
     """
     n = pot.size
     count = min(count, n)
-    levels = _levels(n)
+    whole = (0, n, _levels(n), (False, False))
     # L(edges) lies between 0 and twice the diagonal of its edge weights
     bottom = float(pot.min())
-    top = float(pot.max()) + 4.0 * float(edges.max())
+    t = float(edges.max())
+    top = float(pot.max()) + 4.0 * t
     lo, hi = [bottom] * count, [top] * count
     clo = [0] * count  # eigenvalues below lo[k]
     chi = [n] * count  # eigenvalues below hi[k]
-    sweeps = 0
+    sweeps = rows = 0
     out: list[float] = []
     # the lower end potential, where a well's bound levels end
     end = min(float(pot[0]), float(pot[-1]))
@@ -585,6 +725,8 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], 
                 x, kind = 0.5 * lo[k] + 0.5 * hi[k], "bisect"
             neighbours = out + [v for j, v in enumerate(seeds)
                                 if j != k and math.isfinite(v)]
+            ceiling = min(_window_energy(seeds, k, bottom), hi[k])
+            window = _window(pot, t, ceiling) if ceiling > bottom else whole
             est = spread = 0.0
             # the last two step lengths: a Laguerre step must be shorter
             # than half the one before last, or bisection takes over
@@ -594,11 +736,19 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], 
                 a, b = lo[k], hi[k]
                 if b - a <= _width_tol(a, b):
                     break
+                start, stop, levels, cut = window if x < ceiling else whole
+                part = (pot[start:stop], edges[start:stop + 1], x, levels, cut)
                 if kind == "laguerre":
-                    c, g, h = _laguerre(pot, edges, x, levels)
+                    c, c_free, g, h = _laguerre(*part)
                 else:
-                    c = _count(pot, edges, x, levels)
+                    c, c_free = _count(*part)
                 sweeps += 1
+                rows += stop - start
+                if c != c_free:
+                    # the window does not decide this count: sweep the whole
+                    # matrix from here on
+                    ceiling = -math.inf
+                    continue
                 for j in range(min(c, count)):
                     if x < hi[j]:
                         hi[j], chi[j] = x, c
@@ -610,7 +760,7 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], 
                         est, spread = x, 2 * spread
                 elif kind == "laguerre" and (c == k or c == k + 1):
                     side = 1 if c == k else -1
-                    dist = _laguerre_step(g, h, n, side)
+                    dist = _laguerre_step(g, h, stop - start, side)
                     z = x + side * dist
                     tol = _width_tol(z)
                     if math.isfinite(dist) and (side == -last_side or dist < tol):
@@ -640,7 +790,22 @@ def _lowest_eigenvalues(pot, edges, count: int, seeds=()) -> tuple[list[float], 
                         isolated = clo[k] == k and chi[k] == k + 1
                         kind = "laguerre" if isolated else "bisect"
             out.append(0.5 * lo[k] + 0.5 * hi[k])
-    return out, sweeps
+    return out, sweeps, rows
+
+
+def _window_energy(seeds, k: int, bottom: float) -> float:
+    """The energy E_w of level k's sweep window (:func:`_lowest_eigenvalues`):
+    halfway from seed k to seed k + 1, or half the spacing to the level below
+    (seed k - 1, or ``bottom`` for k = 0) above seed k; -inf without a
+    finite seed k."""
+    here = seeds[k] if k < len(seeds) else math.nan
+    if not math.isfinite(here):
+        return -math.inf
+    above = seeds[k + 1] if k + 1 < len(seeds) else math.nan
+    if math.isfinite(above) and above > here:
+        return 0.5 * here + 0.5 * above
+    below = seeds[k - 1] if k > 0 else bottom
+    return here + 0.5 * (here - below) if math.isfinite(below) and below < here else -math.inf
 
 
 def _operator(v_eff, x_min: float, x_max: float, intervals: int,
@@ -740,8 +905,9 @@ def _wkb_levels(v: np.ndarray, t: float, count: int) -> list[float]:
 def _seeded_solve(potential: np.ndarray, x: np.ndarray, t: float,
                   units: pot.UnitsConfig, count: int, radial: bool):
     """The lowest ``count`` eigenvalues of L(t) + diag(potential), whose
-    rows sit at the points x, and the Sturm sweeps spent, seeded from the
-    Langer-WKB levels of the potential (:func:`_wkb_levels`)."""
+    rows sit at the points x, the Sturm sweeps spent and the rows they ran
+    on, seeded from the Langer-WKB levels of the potential
+    (:func:`_wkb_levels`)."""
     v = potential
     if radial:
         v = potential + units.hbar**2 / (8.0 * units.mass) / (x * x)
@@ -751,11 +917,14 @@ def _seeded_solve(potential: np.ndarray, x: np.ndarray, t: float,
 
 class _FDResult(tuple):
     """The ``(values, shift)`` pair of :func:`fd_eigenvalues_from_callable`,
-    also carrying ``sturm_sweeps``, the sweeps spent at h and at h/2."""
+    also carrying ``sturm_sweeps``, the sweeps spent at h and at h/2, and
+    ``sturm_rows``, the rows they ran on."""
 
-    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int]):
+    def __new__(cls, values, shift: float, sturm_sweeps: tuple[int, int],
+                sturm_rows: tuple[int, int]):
         result = super().__new__(cls, (values, shift))
         result.sturm_sweeps = sturm_sweeps
+        result.sturm_rows = sturm_rows
         return result
 
 
@@ -778,7 +947,12 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     the h/2 solve is seeded with the h eigenvalues, which sit within the
     Richardson movement of their h/2 counterparts.  Each matrix's own Sturm
     counts confirm or overrule every seed, so seeds change the sweeps
-    spent, not the values.  ``v_eff`` is called on one array, the h/2 grid:
+    spent, not the values.  Each seeded level sweeps a window of its matrix
+    that reaches WINDOW_PHI decay lengths into either tail, and falls back
+    to the whole matrix where the window's Dirichlet and Neumann counts
+    differ (:func:`_lowest_eigenvalues`); the pair's ``sturm_rows``
+    attribute holds the rows those sweeps ran on, summed at h and at h/2.
+    ``v_eff`` is called on one array, the h/2 grid:
     the h matrix reads its odd interior points, which are the h grid's
     interior points (``np.linspace`` gives both grids the same values
     there).  Without ``refine`` it is called on the h grid instead.
@@ -791,20 +965,20 @@ def fd_eigenvalues_from_callable(v_eff, grid: RadialGrid,
     x_min, x_max = grid.x_min, grid.x_max
     if not refine:
         x, t, pot_h = _operator(v_eff, x_min, x_max, intervals, units)
-        base, sweeps = _seeded_solve(pot_h, x[1:-1], t, units, count, radial)
-        return _FDResult(np.asarray(base), 0.0, (sweeps, 0))
+        base, sweeps, rows = _seeded_solve(pot_h, x[1:-1], t, units, count, radial)
+        return _FDResult(np.asarray(base), 0.0, (sweeps, 0), (rows, 0))
     x, t_half, pot_half = _operator(v_eff, x_min, x_max, 2 * intervals, units)
     pot_h = pot_half[1::2]
     t = _hopping(x_min, x_max, intervals, units)
-    base, sweeps = _seeded_solve(pot_h, x[2:-1:2], t, units, count, radial)
-    fine, fine_sweeps = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size),
-                                            count, base)
+    base, sweeps, rows = _seeded_solve(pot_h, x[2:-1:2], t, units, count, radial)
+    fine, fine_sweeps, fine_rows = _lowest_eigenvalues(
+        pot_half, _edges(t_half, pot_half.size), count, base)
     base = np.asarray(base)
     fine = np.asarray(fine)
     rich = (4.0 * fine - base) / 3.0
     scale = np.maximum(np.abs(rich), 1e-30)
     shift = float(np.max(np.abs(fine - base) / scale))
-    return _FDResult(rich, shift, (sweeps, fine_sweeps))
+    return _FDResult(rich, shift, (sweeps, fine_sweeps), (rows, fine_rows))
 
 
 def _effective_grid(spec, grid: RadialGrid) -> RadialGrid:
@@ -844,7 +1018,8 @@ def fd_eigenvalues(spec, l: int = 0, units: pot.UnitsConfig = pot.UnitsConfig(),
     bound = tuple(float(v) for v in values if v < asym)
     return OracleSpectrum(eigenvalues=bound, grid=grid,
                           asymptote=asym, richardson_shift=shift,
-                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps)
+                          grid_adequate=adequate, sturm_sweeps=solved.sturm_sweeps,
+                          sturm_rows=solved.sturm_rows)
 
 
 def _excesses(w: list[float], b: float):

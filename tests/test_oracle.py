@@ -162,15 +162,15 @@ def test_wrong_seeds_still_give_the_spectrum():
         [math.nan, math.inf, -math.inf, exact[3]],
         exact[:2],                            # fewer seeds than levels
     ]
-    unseeded, _ = _lowest_eigenvalues(pot, edges, 4)
+    unseeded, *_ = _lowest_eigenvalues(pot, edges, 4)
     assert np.allclose(unseeded, exact, rtol=0.0, atol=1e-12)
     for seeds in bad_seeds:
-        values, _ = _lowest_eigenvalues(pot, edges, 4, seeds=seeds)
+        values, *_ = _lowest_eigenvalues(pot, edges, 4, seeds=seeds)
         assert np.allclose(values, exact, rtol=0.0, atol=1e-12), seeds
     # seeds sitting exactly on eigenvalues of a decoupled matrix hit the
     # pivot floor
     pot, edges = _form([3.0, 1.0, 2.0, 1.0], [0.0] * 3)
-    values, _ = _lowest_eigenvalues(pot, edges, 4, seeds=[1.0, 1.0, 2.0, 3.0])
+    values, *_ = _lowest_eigenvalues(pot, edges, 4, seeds=[1.0, 1.0, 2.0, 3.0])
     assert np.allclose(values, [1.0, 1.0, 2.0, 3.0], rtol=0.0, atol=1e-12)
 
 
@@ -223,9 +223,9 @@ def test_seed_solves_start_below_the_end_potential(monkeypatch):
     shifts = []
     count_sweep = oracle._count
 
-    def recorded(pot, edges, lam, levels):
+    def recorded(pot, edges, lam, *args):
         shifts.append(lam)
-        return count_sweep(pot, edges, lam, levels)
+        return count_sweep(pot, edges, lam, *args)
 
     monkeypatch.setattr(oracle, "_count", recorded)
     total = 0
@@ -297,11 +297,11 @@ def test_fd_eigenvalues_evaluates_the_potential_on_one_array(monkeypatch):
     pot = v_eff(spec, 0, UNITS, x[1:-1])
     t = oracle._hopping(grid.x_min, grid.x_max, intervals, UNITS)
     seeds = oracle._wkb_levels(pot + 1.0 / (8.0 * x[1:-1] ** 2), t, 3)
-    base, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), 3, seeds)
+    base, *_ = _lowest_eigenvalues(pot, _edges(t, pot.size), 3, seeds)
     half = np.linspace(grid.x_min, grid.x_max, 2 * intervals + 1)[1:-1]
     pot_half = v_eff(spec, 0, UNITS, half)
     t_half = oracle._hopping(grid.x_min, grid.x_max, 2 * intervals, UNITS)
-    fine, _ = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size), 3, base)
+    fine, *_ = _lowest_eigenvalues(pot_half, _edges(t_half, pot_half.size), 3, base)
     rich = (4.0 * np.asarray(fine) - np.asarray(base)) / 3.0
     assert solved.eigenvalues == tuple(rich.tolist())
 
@@ -470,7 +470,7 @@ def test_seeded_solves_match_eigvalsh(spec, grid):
     assert np.allclose(solved[0], exact, rtol=0.0, atol=tolerance(diag))
     # h/2, seeded from h
     diag, operator, exact = dense(2 * (grid.n_points - 1))
-    values, _ = _lowest_eigenvalues(*operator, 3, seeds=list(solved[0]))
+    values, *_ = _lowest_eigenvalues(*operator, 3, seeds=list(solved[0]))
     assert np.allclose(values, exact, rtol=0.0, atol=tolerance(diag))
 
 
@@ -499,7 +499,7 @@ def test_wkb_seeds_lie_near_the_certified_levels(spec, l, units):
     assert len(seeds) == count
     assert all(math.isfinite(e) for e in seeds)
     assert all(a < b for a, b in zip(seeds, seeds[1:]))
-    certified, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
+    certified, *_ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
     for seed, level in zip(seeds, certified):
         assert abs(seed - level) <= _wkb_bound(spec, l) * abs(level)
 
@@ -523,10 +523,155 @@ def test_seeds_change_sweeps_never_values(data):
     radial = data.draw(st.booleans())
     count = data.draw(st.integers(1, min(6, x.size)))
     t = oracle._hopping(0.0, span, intervals, units)
-    seeded, _ = oracle._seeded_solve(pot, x, t, units, count, radial)
-    unseeded, _ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
+    seeded, *_ = oracle._seeded_solve(pot, x, t, units, count, radial)
+    unseeded, *_ = _lowest_eigenvalues(pot, _edges(t, pot.size), count)
     for a, b in zip(seeded, unseeded):
         assert abs(a - b) <= oracle._width_tol(a, b)
+
+
+# ------------------------------------------------------------- sweep windows
+
+def _laplacian_matrices(n):
+    """(pot, edges) of L(edges) + diag(pot) on n rows: uniform edges t or
+    edges within 10% of t, ghost edges included, and a smooth well whose
+    tails climb to 20 t, or a rough potential, random in [-t, 20 t]."""
+    def matrix(t):
+        edges = st.one_of(st.just([t] * (n + 1)),
+                          st.lists(st.floats(0.9 * t, 1.1 * t), min_size=n + 1,
+                                   max_size=n + 1))
+        well = st.tuples(st.floats(0.2, 0.8), st.floats(20.0, 400.0)).map(
+            lambda cw: [cw[1] * t * (i / n - cw[0]) ** 2 - t for i in range(n)])
+        rough = st.lists(st.floats(-t, 20.0 * t), min_size=n, max_size=n)
+        return st.tuples(st.one_of(well, rough), edges).map(
+            lambda pe: (np.array(pe[0]), np.array(pe[1])))
+
+    return st.floats(0.5, 10.0).flatmap(matrix)
+
+
+def _spectrum(pot, edges):
+    """Every eigenvalue of L(edges) + diag(pot), from LAPACK."""
+    diag = pot + edges[:-1] + edges[1:]
+    return np.linalg.eigvalsh(np.diag(diag) - np.diag(edges[1:-1], 1)
+                              - np.diag(edges[1:-1], -1))
+
+
+def _window_counts(pot, edges, lam, start, stop, levels, cut):
+    """The two counts of a sweep on the rows [start, stop) (_count): with
+    the cut edges as ghost edges, and with them at 0."""
+    with np.errstate(all="ignore"):
+        return oracle._count(pot[start:stop], edges[start:stop + 1], lam, levels, cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_counts_bound_the_matrix_count(data):
+    # rows outside the window have pot > lam: the count with the cut edges
+    # kept (Dirichlet) is at most the whole matrix's, the count with them
+    # at 0 (Neumann) at least; both are the unreduced counts of those two
+    # matrices, away from the eigenvalues of all three
+    floor = data.draw(st.sampled_from([4, 8, 16]))
+    n = data.draw(st.integers(2, 8 * floor))
+    pot, edges = data.draw(_laplacian_matrices(n))
+    eigenvalues = _spectrum(pot, edges)
+    lam = float(data.draw(st.sampled_from(eigenvalues[:max(1, n // 4)].tolist()))
+                + data.draw(st.floats(-3.0, 3.0)) * edges.max())
+    below = np.flatnonzero(pot <= lam)
+    first, last = (int(below[0]), int(below[-1])) if below.size else (n // 2, n // 2)
+    start = data.draw(st.integers(0, first))
+    stop = data.draw(st.integers(last + 1, n))
+    # as many reduction levels as keep the window's last row
+    size = stop - start
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
+        levels = _levels(size)
+    while (size - 1) % (1 << levels):
+        levels -= 1
+    cut = (start > 0, stop < n)
+    free = edges[start:stop + 1].copy()
+    free[0] = 0.0 if cut[0] else free[0]
+    free[-1] = 0.0 if cut[1] else free[-1]
+    window = pot[start:stop]
+    band = _band([*pot, *edges], [])
+    for values in (eigenvalues, _spectrum(window, edges[start:stop + 1]),
+                   _spectrum(window, free)):
+        assume(np.min(np.abs(values - lam)) > band)
+    low, high = _window_counts(pot, edges, lam, start, stop, levels, cut)
+    assert low == _full_sturm(window, edges[start:stop + 1], lam)
+    assert high == _full_sturm(window, free, lam)
+    assert low <= _sturm(pot, edges, lam) <= high
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_oracle_windows_count_as_the_whole_matrix(data):
+    # a window the oracle chooses at an energy reaches WINDOW_PHI decay
+    # lengths into either tail: at every shift below that energy and at
+    # least 1e-9 from an eigenvalue its two counts are the whole matrix's;
+    # past 256 rows the window reads every s-th row
+    floor = data.draw(st.sampled_from([4, 8, 16]))
+    n = data.draw(st.integers(2, 8 * floor) | st.integers(257, 600))
+    pot, edges = data.draw(_laplacian_matrices(n))
+    eigenvalues = _spectrum(pot, edges)
+    k = data.draw(st.integers(0, min(n - 1, 5)))
+    energy = float(eigenvalues[k]) + data.draw(st.floats(0.0, 1.0)) * float(
+        eigenvalues[k + 1] - eigenvalues[k] if k + 1 < n else edges.max())
+    with mock.patch.object(oracle, "REDUCE_MIN_ROWS", floor):
+        start, stop, levels, cut = oracle._window(pot, float(edges.max()), energy)
+    assert 0 <= start < stop <= n
+    assert cut == (start > 0, stop < n)
+    assert np.all(pot[:start] >= energy) and np.all(pot[stop:] >= energy)
+    inside = eigenvalues[eigenvalues < energy]
+    lams = [*(inside - 1e-9), *(inside + 1e-9), *(0.5 * (inside[1:] + inside[:-1])),
+            math.nextafter(energy, -math.inf), energy - data.draw(st.floats(0.0, 10.0))]
+    for lam in lams:
+        if lam >= energy or np.min(np.abs(eigenvalues - lam)) < 1e-9:
+            continue
+        full = _sturm(pot, edges, lam)
+        assert _window_counts(pot, edges, lam, start, stop, levels, cut) == (full, full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_narrow_windows_change_sweeps_never_values(data):
+    # windows that reach only a fraction of a decay length into the tails:
+    # their two counts often differ next to a level, whose sweeps then run
+    # on the whole matrix, and the values stay LAPACK's within the bracket
+    # width and the rounding of the counts
+    phi = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+    n = data.draw(st.integers(2, 300))
+    pot, edges = data.draw(_laplacian_matrices(n))
+    eigenvalues = _spectrum(pot, edges)
+    count = min(n, 6)
+    offsets = data.draw(st.lists(st.floats(-0.1, 0.1), min_size=count, max_size=count))
+    seeds = [float(e) + r * float(edges.max()) for e, r in zip(eigenvalues, offsets)]
+    with mock.patch.object(oracle, "WINDOW_PHI", phi):
+        values, *_ = _lowest_eigenvalues(pot, edges, count, seeds)
+    band = _band([*pot, *edges], [])
+    for value, exact in zip(values, eigenvalues):
+        assert abs(value - exact) <= oracle._width_tol(value) + band
+
+
+@pytest.mark.parametrize("spec, l, units", CATALOG, ids=CATALOG_IDS)
+def test_windowed_levels_hold_against_whole_matrix_counts(spec, l, units):
+    # the h and h/2 solves as fd_eigenvalues_from_callable runs them, levels
+    # 0 to 2: each value is certified by counts of the whole matrix at
+    # value +- half its final bracket width, and the sweeps ran on fewer
+    # rows than the matrices hold
+    grid = oracle._effective_grid(spec, default_grid(spec, l, units, n_max=2))
+    intervals = grid.n_points - 1
+    x, t_half, pot_half = oracle._operator(lambda x: effective_potential(spec, l, units, x),
+                                           grid.x_min, grid.x_max, 2 * intervals, units)
+    pot = pot_half[1::2]
+    t = oracle._hopping(grid.x_min, grid.x_max, intervals, units)
+    base, sweeps, rows = oracle._seeded_solve(pot, x[2:-1:2], t, units, 3, spec.radial)
+    fine, fine_sweeps, fine_rows = _lowest_eigenvalues(
+        pot_half, _edges(t_half, pot_half.size), 3, base)
+    for values, potential, hopping in ((base, pot, t), (fine, pot_half, t_half)):
+        edges = _edges(hopping, potential.size)
+        for k, value in enumerate(values):
+            half = 0.5 * oracle._width_tol(value)
+            assert _sturm(potential, edges, value - half) == k, (k, value)
+            assert _sturm(potential, edges, value + half) == k + 1, (k, value)
+    assert rows < sweeps * pot.size and fine_rows < fine_sweeps * pot_half.size
 
 
 # ------------------------------------------------------ odd/even reduction
